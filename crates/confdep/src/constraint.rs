@@ -6,6 +6,11 @@
 //! ConDocCk pattern-matched manual constraints, ConHandleCk hard-coded
 //! label strings. The compiler gives all of them one vocabulary:
 //!
+//! * [`Constraint::predicate`] — the dependency lowered once into a
+//!   pre-resolved [`Predicate`] over `(component, registry parameter)`
+//!   [`Slot`]s. This is the only place relation and data-type strings
+//!   are decoded; the evaluator, the solver and the validation plan's
+//!   index all read the lowered form.
 //! * [`Constraint::evaluate`] — does a set of typed configurations
 //!   satisfy, violate, or simply not engage the dependency?
 //! * [`Constraint::doc_verdict`] — does any manual page document it?
@@ -18,7 +23,7 @@ use e2fstools::manual::{DocConstraint, ManualPage};
 use e2fstools::typed::{TypedConfig, TypedValue};
 use serde::{Deserialize, Serialize};
 
-use crate::model::{DepKind, Dependency, Endpoint};
+use crate::model::{DepKind, Dependency, Endpoint, ParamRef};
 
 /// Outcome of evaluating one constraint against typed configurations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -47,10 +52,8 @@ pub enum DocVerdict {
 /// The extractor names parameters after the modelled CIR variables; the
 /// `ParamSpec` registry (and the typed configs lowered from real CLI
 /// invocations) use the spec names. This maps the former onto the
-/// latter where they diverge. Public so index builders (the convalid
-/// validation plan) key constraints under the same names the typed
-/// configs carry.
-pub fn registry_name<'a>(component: &str, param: &'a str) -> &'a str {
+/// latter where they diverge; [`Slot`]s carry the result.
+fn registry_name<'a>(component: &str, param: &'a str) -> &'a str {
     match (component, param) {
         ("resize2fs", "new_size") => "size",
         ("e2fsck", "assume_yes") => "yes",
@@ -60,24 +63,204 @@ pub fn registry_name<'a>(component: &str, param: &'a str) -> &'a str {
     }
 }
 
+/// One parameter a predicate reads: a component and the parameter's
+/// registry name (the model-variable alias already applied), so it
+/// keys directly into [`TypedConfig`]s.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Slot {
+    /// Owning component.
+    pub component: String,
+    /// Registry parameter name.
+    pub param: String,
+}
+
+impl Slot {
+    fn of(p: &ParamRef) -> Slot {
+        Slot {
+            component: p.component.clone(),
+            param: registry_name(&p.component, &p.param).to_string(),
+        }
+    }
+
+    /// Where the slot's value lives among `cfgs`: the position and
+    /// value of the first config of the slot's component *that carries
+    /// the parameter*. Falling through configs that lack it matters once
+    /// a state holds several configs per component name (a remount, or
+    /// two ecosystems' views).
+    pub fn find<'a>(&self, cfgs: &[&'a TypedConfig]) -> Option<(usize, &'a TypedValue)> {
+        cfgs.iter()
+            .enumerate()
+            .filter(|(_, c)| c.component == self.component)
+            .find_map(|(i, c)| c.get(&self.param).map(|v| (i, v)))
+    }
+
+    /// The slot's value among `cfgs` (see [`Slot::find`]).
+    fn get<'a>(&self, cfgs: &[&'a TypedConfig]) -> Option<&'a TypedValue> {
+        self.find(cfgs).map(|(_, v)| v)
+    }
+}
+
+/// The value shape a data-type predicate requires.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Shape {
+    /// An integer (`integer`, `int`, `size`).
+    Int,
+    /// A boolean (`boolean`, `bool`, `flag`).
+    Bool,
+    /// A string (`string`, `enum`, `path`).
+    Str,
+    /// An unknown type string: any present value satisfies it.
+    Any,
+}
+
+impl Shape {
+    /// Whether `v` has this shape.
+    fn matches(self, v: &TypedValue) -> bool {
+        match self {
+            Shape::Int => matches!(v, TypedValue::Int(_)),
+            Shape::Bool => matches!(v, TypedValue::Bool(_)),
+            Shape::Str => matches!(v, TypedValue::Str(_)),
+            Shape::Any => true,
+        }
+    }
+}
+
+/// How a control pair relates its two ends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PairMode {
+    /// The subject engaged requires the object engaged.
+    Requires,
+    /// Subject and object engaged together is the violation. The
+    /// extractor cannot orient a guard into "conflicts" vs "requires"
+    /// (its relation string says both), so every pair that is not
+    /// unambiguously a requirement is treated as mutually exclusive —
+    /// exactly how ConBugCk has always repaired feature sets.
+    Excludes,
+    /// Both ends present must carry equal values — the "must agree"
+    /// relation of the cross-ecosystem shared-mount-parameter CCDs.
+    Agrees,
+}
+
+/// A dependency lowered to what it means as a predicate over typed
+/// configurations. Built once by [`Constraint::new`]; the kind
+/// dispatch, the parameter aliasing and the relation and data-type
+/// strings are all resolved there, so evaluating, solving and indexing
+/// read this form and never the strings.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Predicate {
+    /// `SdValueRange`: the subject's integer value lies within the
+    /// bounds and is none of `must_not`.
+    Range {
+        /// The constrained parameter.
+        slot: Slot,
+        /// Inclusive lower bound.
+        min: Option<i64>,
+        /// Inclusive upper bound.
+        max: Option<i64>,
+        /// Excluded values (non-empty only when the relation says
+        /// "must not equal").
+        must_not: Vec<i64>,
+    },
+    /// `SdDataType` with a required type: the subject's value has the
+    /// shape.
+    Type {
+        /// The constrained parameter.
+        slot: Slot,
+        /// The required shape.
+        shape: Shape,
+    },
+    /// `CpdControl`/`CcdControl` with a parameter object.
+    Pair {
+        /// The subject end.
+        subject: Slot,
+        /// The object end.
+        object: Slot,
+        /// How the two ends relate.
+        mode: PairMode,
+    },
+    /// No static predicate: value couplings and behavioural CCDs (the
+    /// coupling manifests when the ecosystem runs, which ConHandleCk's
+    /// injection cases exercise), data types with no required type,
+    /// control pairs with no parameter object. Never engaged.
+    Inert,
+}
+
+impl Predicate {
+    /// The one place relation and data-type strings are decoded.
+    fn lower(d: &Dependency) -> Predicate {
+        let relation = d.detail.relation.as_deref();
+        match (d.kind, &d.object) {
+            (DepKind::SdValueRange, _) => Predicate::Range {
+                slot: Slot::of(&d.subject),
+                min: d.detail.min,
+                max: d.detail.max,
+                must_not: if relation.is_some_and(|r| r.contains("must not equal")) {
+                    d.detail.value_set.clone()
+                } else {
+                    Vec::new()
+                },
+            },
+            (DepKind::SdDataType, _) => match d.detail.data_type.as_deref() {
+                Some(ty) => Predicate::Type {
+                    slot: Slot::of(&d.subject),
+                    shape: match ty {
+                        "integer" | "int" | "size" => Shape::Int,
+                        "boolean" | "bool" | "flag" => Shape::Bool,
+                        "string" | "enum" | "path" => Shape::Str,
+                        _ => Shape::Any,
+                    },
+                },
+                None => Predicate::Inert,
+            },
+            (DepKind::CpdControl | DepKind::CcdControl, Some(Endpoint::Param(o))) => {
+                Predicate::Pair {
+                    subject: Slot::of(&d.subject),
+                    object: Slot::of(o),
+                    mode: if relation.is_some_and(|r| r.contains("must agree")) {
+                        PairMode::Agrees
+                    } else if relation == Some("requires") {
+                        PairMode::Requires
+                    } else {
+                        PairMode::Excludes
+                    },
+                }
+            }
+            _ => Predicate::Inert,
+        }
+    }
+
+    /// The subject slot — the parameter that must hold a value for the
+    /// predicate to engage at all (`None` for [`Predicate::Inert`]).
+    pub fn subject(&self) -> Option<&Slot> {
+        match self {
+            Predicate::Range { slot, .. } | Predicate::Type { slot, .. } => Some(slot),
+            Predicate::Pair { subject, .. } => Some(subject),
+            Predicate::Inert => None,
+        }
+    }
+}
+
 /// One dependency compiled into an executable predicate.
 ///
-/// The dependency's stable signature is computed once at construction
-/// and interned in the struct, so the hot lookup paths (`find`, the
-/// inverted indexes of the validation engine) borrow a `&str` instead
-/// of allocating a fresh `String` per call. `dependency` stays public
-/// for read access; constraints are built through [`Constraint::new`]
-/// so the interned signature can never go stale.
+/// The dependency's stable signature and its [`Predicate`] are computed
+/// once at construction, so the hot paths (`find`, the inverted indexes
+/// of the validation engine, evaluation) borrow pre-resolved state
+/// instead of re-deriving it per call. `dependency` stays public for
+/// read access; constraints are built through [`Constraint::new`] so
+/// the derived state can never go stale.
 #[derive(Debug, Clone)]
 pub struct Constraint {
     /// The dependency this predicate was lowered from.
     pub dependency: Dependency,
     /// Interned [`Dependency::signature`] of `dependency`.
     signature: String,
+    /// `dependency` lowered by [`Predicate::lower`].
+    predicate: Predicate,
 }
 
-// Identity is the dependency alone: the interned signature is derived
-// state, and the wire format (below) carries only the dependency.
+// Identity is the dependency alone: the signature and predicate are
+// derived state, and the wire format (below) carries only the
+// dependency.
 impl PartialEq for Constraint {
     fn eq(&self, other: &Self) -> bool {
         self.dependency == other.dependency
@@ -87,7 +270,7 @@ impl PartialEq for Constraint {
 impl Eq for Constraint {}
 
 // Keep the wire format of the former derive: `{"dependency": ...}`.
-// The interned signature is recomputed on deserialisation.
+// The signature and predicate are recomputed on deserialisation.
 impl Serialize for Constraint {
     fn to_value(&self) -> serde::Value {
         serde::Value::Map(vec![("dependency".to_string(), self.dependency.to_value())])
@@ -102,11 +285,12 @@ impl<'de> Deserialize<'de> for Constraint {
 }
 
 impl Constraint {
-    /// Compiles a dependency into its executable form, interning its
-    /// signature.
+    /// Compiles a dependency into its executable form: interns its
+    /// signature and lowers it to its [`Predicate`].
     pub fn new(dependency: Dependency) -> Self {
         let signature = dependency.signature();
-        Constraint { dependency, signature }
+        let predicate = Predicate::lower(&dependency);
+        Constraint { dependency, signature, predicate }
     }
 
     /// The underlying dependency's stable signature (interned at
@@ -115,104 +299,44 @@ impl Constraint {
         &self.signature
     }
 
-    /// Looks up the subject parameter's typed value among `cfgs` — the
-    /// first config of the subject's component *that carries the
-    /// parameter*. (Stopping at the first component match was a latent
-    /// single-ecosystem assumption: a multi-ecosystem state can hold
-    /// several configs per component name, e.g. a remount.)
-    fn subject_value<'a>(&self, cfgs: &[&'a TypedConfig]) -> Option<&'a TypedValue> {
-        let subj = &self.dependency.subject;
-        let name = registry_name(&subj.component, &subj.param);
-        cfgs.iter()
-            .filter(|c| c.component == subj.component)
-            .find_map(|c| c.get(name))
-    }
-
-    /// Looks up the object parameter's typed value among `cfgs` (same
-    /// falls-through-duplicates rule as [`Constraint::subject_value`]).
-    fn object_value<'a>(&self, cfgs: &[&'a TypedConfig]) -> Option<&'a TypedValue> {
-        match &self.dependency.object {
-            Some(Endpoint::Param(obj)) => {
-                let name = registry_name(&obj.component, &obj.param);
-                cfgs.iter()
-                    .filter(|c| c.component == obj.component)
-                    .find_map(|c| c.get(name))
-            }
-            _ => None,
-        }
+    /// The pre-resolved predicate the dependency was lowered to.
+    pub fn predicate(&self) -> &Predicate {
+        &self.predicate
     }
 
     /// Evaluates the predicate against a set of typed configurations
-    /// (one per component, e.g. the `mke2fs` invocation plus the `mount`
-    /// option string of a generated state).
+    /// (e.g. the `mke2fs` invocation plus the `mount` option string of
+    /// a generated state).
     pub fn evaluate(&self, cfgs: &[&TypedConfig]) -> Verdict {
-        let d = &self.dependency;
-        match d.kind {
-            DepKind::SdValueRange => match self.subject_value(cfgs) {
+        let holds = match &self.predicate {
+            Predicate::Range { slot, min, max, must_not } => match slot.get(cfgs) {
                 Some(TypedValue::Int(v)) => {
-                    if d.detail.min.is_some_and(|min| *v < min)
-                        || d.detail.max.is_some_and(|max| *v > max)
-                    {
-                        return Verdict::Violated;
-                    }
-                    let must_not_equal =
-                        d.detail.relation.as_deref().is_some_and(|r| r.contains("must not equal"));
-                    if must_not_equal && d.detail.value_set.contains(v) {
-                        return Verdict::Violated;
-                    }
-                    Verdict::Satisfied
+                    !(min.is_some_and(|m| *v < m)
+                        || max.is_some_and(|m| *v > m)
+                        || must_not.contains(v))
                 }
-                _ => Verdict::NotApplicable,
+                _ => return Verdict::NotApplicable,
             },
-            DepKind::SdDataType => match (self.subject_value(cfgs), d.detail.data_type.as_deref())
-            {
-                (Some(v), Some(ty)) => {
-                    let ok = match ty {
-                        "integer" | "int" | "size" => matches!(v, TypedValue::Int(_)),
-                        "boolean" | "bool" | "flag" => matches!(v, TypedValue::Bool(_)),
-                        "string" | "enum" | "path" => matches!(v, TypedValue::Str(_)),
-                        _ => true,
-                    };
-                    if ok {
-                        Verdict::Satisfied
-                    } else {
-                        Verdict::Violated
-                    }
-                }
-                _ => Verdict::NotApplicable,
+            Predicate::Type { slot, shape } => match slot.get(cfgs) {
+                Some(v) => shape.matches(v),
+                None => return Verdict::NotApplicable,
             },
-            DepKind::CpdControl | DepKind::CcdControl => {
-                let (Some(s), Some(o)) = (self.subject_value(cfgs), self.object_value(cfgs))
-                else {
+            Predicate::Pair { subject, object, mode } => {
+                let (Some(s), Some(o)) = (subject.get(cfgs), object.get(cfgs)) else {
                     return Verdict::NotApplicable;
                 };
-                // agreement constraints (the cross-ecosystem pass over
-                // shared mount parameters): both sides engaged must
-                // carry the same value
-                if d.detail.relation.as_deref().is_some_and(|r| r.contains("must agree")) {
-                    return if s == o { Verdict::Satisfied } else { Verdict::Violated };
-                }
-                let s_on = engaged(s);
-                let o_on = engaged(o);
-                // the extractor cannot orient a guard into "conflicts"
-                // vs "requires" (its relation string says both); treat
-                // the pair as mutually exclusive — exactly how ConBugCk
-                // has always repaired feature sets — unless the relation
-                // is unambiguously a requirement
-                let requires = d.detail.relation.as_deref() == Some("requires");
-                let conflict = if requires { s_on && !o_on } else { s_on && o_on };
-                if conflict {
-                    Verdict::Violated
-                } else {
-                    Verdict::Satisfied
+                match mode {
+                    PairMode::Agrees => s == o,
+                    PairMode::Requires => !engaged(s) || engaged(o),
+                    PairMode::Excludes => !(engaged(s) && engaged(o)),
                 }
             }
-            // value couplings and behavioural CCDs have no closed-form
-            // static predicate: the coupling manifests when the ecosystem
-            // runs (ConHandleCk's injection cases exercise exactly these)
-            DepKind::CpdValue | DepKind::CcdValue | DepKind::CcdBehavioral => {
-                Verdict::NotApplicable
-            }
+            Predicate::Inert => return Verdict::NotApplicable,
+        };
+        if holds {
+            Verdict::Satisfied
+        } else {
+            Verdict::Violated
         }
     }
 
@@ -485,7 +609,7 @@ impl ConstraintSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{DepDetail, ParamRef};
+    use crate::model::DepDetail;
     use crate::{extract_scenario, models, ExtractOptions};
 
     fn compiled() -> ConstraintSet {
@@ -564,16 +688,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_name_aliases_are_scoped_per_component() {
-        // the alias table keys on (component, param): a second
-        // ecosystem reusing a parameter name must not inherit an ext4
-        // alias
-        assert_eq!(registry_name("resize2fs", "new_size"), "size");
-        assert_eq!(registry_name("resize_f2fs", "new_size"), "new_size");
-        assert_eq!(registry_name("fsck_f2fs", "assume_yes"), "assume_yes");
-    }
-
-    #[test]
     fn lookup_falls_through_configs_missing_the_param() {
         // two configs for the same component: the first does not carry
         // the parameter, the second does — the lookup must not stop at
@@ -622,5 +736,87 @@ mod tests {
         });
         let cfg = TypedConfig::new("mke2fs");
         assert_eq!(c.evaluate(&[&cfg]), Verdict::NotApplicable);
+    }
+
+    #[test]
+    fn lowering_follows_the_dependency_kind() {
+        // every engaging predicate names its subject under the registry
+        // alias, and only control kinds with a parameter object become
+        // pairs
+        for c in compiled().constraints() {
+            let d = &c.dependency;
+            match c.predicate() {
+                Predicate::Range { .. } => assert_eq!(d.kind, DepKind::SdValueRange),
+                Predicate::Type { .. } => assert_eq!(d.kind, DepKind::SdDataType),
+                Predicate::Pair { object, mode, .. } => {
+                    assert!(matches!(d.kind, DepKind::CpdControl | DepKind::CcdControl));
+                    assert!(
+                        matches!(&d.object, Some(Endpoint::Param(o)) if o.component == object.component)
+                    );
+                    assert_eq!(*mode, PairMode::Excludes, "{}", c.signature());
+                }
+                Predicate::Inert => assert!(matches!(
+                    d.kind,
+                    DepKind::CpdValue | DepKind::CcdValue | DepKind::CcdBehavioral
+                )),
+            }
+            if let Some(slot) = c.predicate().subject() {
+                assert_eq!(slot.component, d.subject.component);
+                assert_eq!(slot.param, registry_name(&d.subject.component, &d.subject.param));
+            }
+        }
+        let set = compiled();
+        let resize = set.find("SdValueRange|resize2fs:new_size").unwrap();
+        assert_eq!(resize.predicate().subject().unwrap().param, "size");
+    }
+
+    #[test]
+    fn lowering_decodes_relations_and_types_once() {
+        let dep = |kind, relation: Option<&str>, data_type: Option<&str>| {
+            Constraint::new(Dependency {
+                kind,
+                subject: ParamRef::new("mke2fs", "inode_size"),
+                object: Some(Endpoint::Param(ParamRef::new("mke2fs", "blocksize"))),
+                detail: DepDetail {
+                    relation: relation.map(str::to_string),
+                    data_type: data_type.map(str::to_string),
+                    value_set: vec![128],
+                    ..DepDetail::default()
+                },
+                evidence: vec![],
+            })
+        };
+        let must_not = |c: Constraint| match c.predicate() {
+            Predicate::Range { must_not, .. } => must_not.clone(),
+            p => panic!("not a range: {p:?}"),
+        };
+        assert_eq!(must_not(dep(DepKind::SdValueRange, Some("must not equal 0"), None)), vec![128]);
+        assert!(must_not(dep(DepKind::SdValueRange, None, None)).is_empty());
+        let shape = |ty| match dep(DepKind::SdDataType, None, ty).predicate() {
+            Predicate::Type { shape, .. } => Some(*shape),
+            _ => None,
+        };
+        assert_eq!(shape(Some("size")), Some(Shape::Int));
+        assert_eq!(shape(Some("flag")), Some(Shape::Bool));
+        assert_eq!(shape(Some("path")), Some(Shape::Str));
+        assert_eq!(shape(Some("opaque")), Some(Shape::Any));
+        assert_eq!(shape(None), None);
+        let mode = |relation| match dep(DepKind::CpdControl, relation, None).predicate() {
+            Predicate::Pair { mode, .. } => *mode,
+            p => panic!("not a pair: {p:?}"),
+        };
+        assert_eq!(mode(Some("requires")), PairMode::Requires);
+        assert_eq!(mode(Some("cannot be combined / requires")), PairMode::Excludes);
+        assert_eq!(mode(Some("shared mount parameters must agree")), PairMode::Agrees);
+        assert_eq!(mode(None), PairMode::Excludes);
+    }
+
+    #[test]
+    fn deserialised_constraints_lower_identically() {
+        for c in compiled().constraints() {
+            let json = serde_json::to_string(c).unwrap();
+            let back: Constraint = serde_json::from_str(&json).unwrap();
+            assert_eq!(back.predicate(), c.predicate(), "{}", c.signature());
+        }
     }
 }

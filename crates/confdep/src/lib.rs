@@ -44,7 +44,9 @@ pub mod scenario;
 pub mod solve;
 
 pub use cache::{AnalysisCache, CacheStats};
-pub use constraint::{Constraint, ConstraintSet, DocVerdict, Verdict};
+pub use constraint::{
+    Constraint, ConstraintSet, DocVerdict, PairMode, Predicate, Shape, Slot, Verdict,
+};
 pub use eval::{CategoryCounts, Evaluation, ScenarioOutcome};
 pub use extract::{
     analyze_component, extract_component, extract_scenario, extract_scenario_full,

@@ -31,7 +31,7 @@ use e2fstools::params::{all_params, ParamSpec, ParamType};
 use e2fstools::typed::{TypedConfig, TypedValue};
 use serde::{Deserialize, Serialize};
 
-use crate::constraint::{Constraint, ConstraintSet, Verdict};
+use crate::constraint::{Constraint, ConstraintSet, PairMode, Predicate, Shape, Verdict};
 use crate::model::{DepKind, Endpoint};
 
 /// The requested evaluation outcome of a target constraint.
@@ -417,16 +417,15 @@ impl<'a> Solver<'a> {
                 if verdict != Verdict::Satisfied {
                     return false;
                 }
-                let d = &target.dependency;
-                let Some(scope) = self.scope.scope_of(&d.subject.component) else {
+                let Predicate::Range { slot, min, max, .. } = target.predicate() else {
+                    return false;
+                };
+                let Some(scope) = self.scope.scope_of(&slot.component) else {
                     return false;
                 };
                 let cfg = if scope == self.scope.create_component { mkfs } else { mount };
-                match cfg.get(crate::constraint::registry_name(&d.subject.component, &d.subject.param))
-                {
-                    Some(TypedValue::Int(v)) => {
-                        d.detail.min == Some(*v) || d.detail.max == Some(*v)
-                    }
+                match cfg.get(&slot.param) {
+                    Some(TypedValue::Int(v)) => *min == Some(*v) || *max == Some(*v),
                     _ => false,
                 }
             }
@@ -499,6 +498,14 @@ impl<'a> Solver<'a> {
         }
     }
 
+    /// A string value of the right shape for `param`: its first enum
+    /// member, or a placeholder when it is not enumerated.
+    fn first_member(&self, component: &str, param: &str) -> String {
+        self.enum_members(component, param)
+            .and_then(|m| m.first().cloned())
+            .unwrap_or_else(|| "x".to_string())
+    }
+
     /// Whether a pinned value on `(component, param)` has a CLI
     /// rendering of the right shape.
     fn renderable(&self, component: &str, param: &str, value: &TypedValue) -> bool {
@@ -518,25 +525,21 @@ impl<'a> Solver<'a> {
     /// first. Empty when the target is out of scope or the polarity has
     /// no witness (behavioural kinds, unbounded boundaries, ...).
     fn candidates(&self, target: &Constraint, polarity: Polarity) -> Vec<Vec<Pin>> {
-        let d = &target.dependency;
-        let Some(subj_scope) = self.scope.scope_of(&d.subject.component) else {
+        let predicate = target.predicate();
+        let Some(slot) = predicate.subject() else { return Vec::new() };
+        let Some(subj_scope) = self.scope.scope_of(&slot.component) else {
             return Vec::new();
         };
-        let subj = crate::constraint::registry_name(&d.subject.component, &d.subject.param);
+        let subj = slot.param.as_str();
         let pin = |component: &'static str, param: &str, value: TypedValue| Pin {
             component,
             param: param.to_string(),
             value,
         };
         let mut out: Vec<Vec<Pin>> = Vec::new();
-        match d.kind {
-            DepKind::SdValueRange => {
-                let (min, max) = (d.detail.min, d.detail.max);
-                let must_not = d
-                    .detail
-                    .relation
-                    .as_deref()
-                    .is_some_and(|r| r.contains("must not equal"));
+        match predicate {
+            Predicate::Range { min, max, must_not, .. } => {
+                let (min, max) = (*min, *max);
                 let mut push_int = |v: i64| {
                     out.push(vec![pin(subj_scope, subj, TypedValue::Int(v))]);
                 };
@@ -544,10 +547,10 @@ impl<'a> Solver<'a> {
                     Polarity::Satisfy => {
                         let lo = min.unwrap_or(i64::MIN);
                         let hi = max.unwrap_or(i64::MAX);
-                        let mid = self.engage_int(&d.subject.component, subj);
+                        let mid = self.engage_int(&slot.component, subj);
                         for v in [mid.clamp(lo.min(hi), hi), lo.max(0).clamp(lo, hi), hi.min(1 << 20).clamp(lo, hi)]
                         {
-                            if !(must_not && d.detail.value_set.contains(&v)) {
+                            if !must_not.contains(&v) {
                                 push_int(v);
                             }
                         }
@@ -563,60 +566,45 @@ impl<'a> Solver<'a> {
                                 push_int(v);
                             }
                         }
-                        if must_not {
-                            for v in &d.detail.value_set {
-                                push_int(*v);
-                            }
+                        for v in must_not {
+                            push_int(*v);
                         }
                     }
                     Polarity::Boundary => {
                         for v in [min, max].into_iter().flatten() {
-                            if !(must_not && d.detail.value_set.contains(&v)) {
+                            if !must_not.contains(&v) {
                                 push_int(v);
                             }
                         }
                     }
                 }
             }
-            DepKind::SdDataType => {
-                let Some(ty) = d.detail.data_type.as_deref() else { return Vec::new() };
-                let matching: Vec<TypedValue> = match ty {
-                    "integer" | "int" | "size" => {
-                        vec![TypedValue::Int(self.engage_int(&d.subject.component, subj))]
-                    }
-                    "boolean" | "bool" | "flag" => vec![TypedValue::Bool(true)],
-                    "string" | "enum" | "path" => {
-                        let member = self
-                            .enum_members(&d.subject.component, subj)
-                            .and_then(|m| m.first().cloned())
-                            .unwrap_or_else(|| "x".to_string());
-                        vec![TypedValue::Str(member)]
-                    }
-                    _ => Vec::new(), // unknown types satisfy vacuously; no stable witness
-                };
-                let mismatching: Vec<TypedValue> = match ty {
-                    "integer" | "int" | "size" => vec![TypedValue::Str("x".to_string())],
-                    "boolean" | "bool" | "flag" => vec![TypedValue::Int(1)],
-                    "string" | "enum" | "path" => vec![TypedValue::Int(7)],
-                    _ => Vec::new(),
+            Predicate::Type { shape, .. } => {
+                // unknown types satisfy vacuously: no stable witness
+                let (matching, mismatching) = match shape {
+                    Shape::Int => (
+                        TypedValue::Int(self.engage_int(&slot.component, subj)),
+                        TypedValue::Str("x".to_string()),
+                    ),
+                    Shape::Bool => (TypedValue::Bool(true), TypedValue::Int(1)),
+                    Shape::Str => (
+                        TypedValue::Str(self.first_member(&slot.component, subj)),
+                        TypedValue::Int(7),
+                    ),
+                    Shape::Any => return Vec::new(),
                 };
                 let chosen = match polarity {
                     Polarity::Satisfy => matching,
                     Polarity::Violate => mismatching,
-                    Polarity::Boundary => Vec::new(),
+                    Polarity::Boundary => return Vec::new(),
                 };
-                for value in chosen {
-                    if self.renderable(subj_scope, subj, &value) {
-                        out.push(vec![pin(subj_scope, subj, value)]);
-                    }
-                }
+                out.push(vec![pin(subj_scope, subj, chosen)]);
             }
-            DepKind::CpdControl | DepKind::CcdControl => {
-                let Some(Endpoint::Param(obj_ref)) = &d.object else { return Vec::new() };
-                let Some(obj_scope) = self.scope.scope_of(&obj_ref.component) else {
+            Predicate::Pair { object, mode, .. } => {
+                let Some(obj_scope) = self.scope.scope_of(&object.component) else {
                     return Vec::new();
                 };
-                let obj = crate::constraint::registry_name(&obj_ref.component, &obj_ref.param);
+                let obj = object.param.as_str();
                 let engage = |solver: &Self, component: &str, param: &str| -> TypedValue {
                     let is_valued = component == solver.scope.create_component
                         && (solver.scope.valued_opt(param).is_some()
@@ -633,10 +621,9 @@ impl<'a> Solver<'a> {
                     }
                 };
                 let disengage = TypedValue::Bool(false);
-                let requires = d.detail.relation.as_deref() == Some("requires");
-                let s_on = engage(self, &d.subject.component, subj);
-                let o_on = engage(self, &obj_ref.component, obj);
-                if requires {
+                let s_on = engage(self, &slot.component, subj);
+                let o_on = engage(self, &object.component, obj);
+                if *mode == PairMode::Requires {
                     match polarity {
                         Polarity::Satisfy => {
                             out.push(vec![
@@ -656,7 +643,8 @@ impl<'a> Solver<'a> {
                     }
                 } else {
                     // mutual exclusion (the extractor's combined
-                    // "cannot be combined / requires" relation)
+                    // "cannot be combined / requires" relation); an
+                    // agreement pair is witnessed the same way
                     match polarity {
                         Polarity::Satisfy => {
                             out.push(vec![
@@ -678,17 +666,10 @@ impl<'a> Solver<'a> {
                         Polarity::Boundary => {}
                     }
                 }
-                out.retain(|pins| {
-                    pins.iter().all(|p| self.renderable(p.component, &p.param, &p.value))
-                });
             }
-            // value couplings and behavioural CCDs have no static
-            // predicate — nothing to witness
-            DepKind::CpdValue | DepKind::CcdValue | DepKind::CcdBehavioral => {}
+            Predicate::Inert => {}
         }
-        out.retain(|pins| {
-            pins.iter().all(|p| self.renderable(p.component, &p.param, &p.value))
-        });
+        out.retain(|pins| pins.iter().all(|p| self.renderable(p.component, &p.param, &p.value)));
         out
     }
 
@@ -722,15 +703,12 @@ impl<'a> Solver<'a> {
                 if verdict != Verdict::Violated {
                     continue;
                 }
-                let d = &c.dependency;
-                let subj_scope = match self.scope.scope_of(&d.subject.component) {
-                    Some(s) => s,
-                    None => continue,
-                };
-                let subj =
-                    crate::constraint::registry_name(&d.subject.component, &d.subject.param);
-                match d.kind {
-                    DepKind::SdValueRange => {
+                let predicate = c.predicate();
+                let Some(slot) = predicate.subject() else { continue };
+                let Some(subj_scope) = self.scope.scope_of(&slot.component) else { continue };
+                let subj = slot.param.as_str();
+                match predicate {
+                    Predicate::Range { min, max, .. } => {
                         if is_pinned(subj_scope, subj) {
                             continue;
                         }
@@ -740,29 +718,20 @@ impl<'a> Solver<'a> {
                             &mut solved.mount
                         };
                         if let Some(&TypedValue::Int(v)) = cfg.get(subj) {
-                            let clamped = v.clamp(
-                                d.detail.min.unwrap_or(i64::MIN),
-                                d.detail.max.unwrap_or(i64::MAX),
-                            );
+                            let clamped = v.clamp(min.unwrap_or(i64::MIN), max.unwrap_or(i64::MAX));
                             cfg.set_int(subj, clamped);
                             changed = true;
                         }
                     }
-                    DepKind::SdDataType => {
+                    Predicate::Type { shape, .. } => {
                         if is_pinned(subj_scope, subj) {
                             continue;
                         }
-                        let repaired = match d.detail.data_type.as_deref() {
-                            Some("integer" | "int" | "size") => {
-                                TypedValue::Int(self.engage_int(&d.subject.component, subj))
-                            }
-                            Some("string" | "enum" | "path") => TypedValue::Str(
-                                self.enum_members(&d.subject.component, subj)
-                                    .and_then(|m| m.first().cloned())
-                                    .unwrap_or_else(|| "x".to_string()),
-                            ),
-                            Some("boolean" | "bool" | "flag") => TypedValue::Bool(true),
-                            _ => continue,
+                        let repaired = match shape {
+                            Shape::Int => TypedValue::Int(self.engage_int(&slot.component, subj)),
+                            Shape::Str => TypedValue::Str(self.first_member(&slot.component, subj)),
+                            Shape::Bool => TypedValue::Bool(true),
+                            Shape::Any => continue,
                         };
                         if self.renderable(subj_scope, subj, &repaired) {
                             let cfg = if subj_scope == self.scope.create_component {
@@ -774,18 +743,15 @@ impl<'a> Solver<'a> {
                             changed = true;
                         }
                     }
-                    DepKind::CpdControl | DepKind::CcdControl => {
-                        let Some(Endpoint::Param(obj_ref)) = &d.object else { continue };
-                        let Some(obj_scope) = self.scope.scope_of(&obj_ref.component) else {
+                    Predicate::Pair { object, .. } => {
+                        let Some(obj_scope) = self.scope.scope_of(&object.component) else {
                             continue;
                         };
-                        let obj =
-                            crate::constraint::registry_name(&obj_ref.component, &obj_ref.param);
                         // prefer repairing through the object, then the
                         // subject; a participant repairs by disengaging
                         // (booleans) or leaving the config (values)
                         let repair_targets =
-                            [(obj_scope, obj), (subj_scope, subj)];
+                            [(obj_scope, object.param.as_str()), (subj_scope, subj)];
                         for (scope, param) in repair_targets {
                             if is_pinned(scope, param) {
                                 continue;
@@ -810,7 +776,7 @@ impl<'a> Solver<'a> {
                             }
                         }
                     }
-                    _ => {}
+                    Predicate::Inert => {}
                 }
             }
             if !changed {

@@ -303,29 +303,29 @@ impl ValidationEngine {
             configs[i] = solved.mount;
         }
         // disengage the leftovers: propagation repairs only what it can
-        // render; anything still violated loses its subject parameter
+        // render; anything still violated loses its subject value from
+        // the config the evaluator read it from (with duplicate views of
+        // a component that need not be the first one). A violated
+        // predicate always has its subject value, so every round
+        // removes at least one value and the loop terminates.
         let constraints = self.plan.constraints().constraints();
         loop {
             let views: Vec<&TypedConfig> = configs.iter().collect();
-            let violated: Vec<usize> = constraints
+            let leftovers: Vec<(usize, &str)> = constraints
                 .iter()
-                .enumerate()
-                .filter(|(_, c)| c.evaluate(&views) == Verdict::Violated)
-                .map(|(i, _)| i)
+                .filter(|c| c.evaluate(&views) == Verdict::Violated)
+                .filter_map(|c| {
+                    let slot = c.predicate().subject()?;
+                    let (at, _) = slot.find(&views)?;
+                    Some((at, slot.param.as_str()))
+                })
                 .collect();
             drop(views);
-            if violated.is_empty() {
+            if leftovers.is_empty() {
                 break;
             }
-            for i in violated {
-                let d = &constraints[i].dependency;
-                let name =
-                    confdep::constraint::registry_name(&d.subject.component, &d.subject.param);
-                if let Some(cfg) =
-                    configs.iter_mut().find(|c| c.component == d.subject.component)
-                {
-                    cfg.values.remove(name);
-                }
+            for (at, param) in leftovers {
+                configs[at].values.remove(param);
             }
         }
         let views: Vec<&TypedConfig> = configs.iter().collect();

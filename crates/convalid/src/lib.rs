@@ -9,12 +9,13 @@
 //! The serving shape is build-once, read-many:
 //!
 //! * [`ValidationPlan`] is compiled once at startup from the constraint
-//!   set — a per-`(component, parameter)` inverted index from canonical
-//!   parameter keys to the constraints that mention them, each
-//!   constraint lowered to a pre-resolved [check](plan) (no string
-//!   matching on the hot path), a precomputed control-pair table, and
-//!   per-constraint documentation verdicts. The plan is immutable and
-//!   shared behind an `Arc`; queries take no locks against it.
+//!   set — an inverted index from each constraint's subject
+//!   `(component, registry parameter)` slot to its position, plus
+//!   per-constraint documentation verdicts. The constraints themselves
+//!   already carry their pre-resolved [`confdep::Predicate`], lowered
+//!   once by confdep, so the hot path does no string matching and runs
+//!   the same evaluator as every other consumer. The plan is immutable
+//!   and shared behind an `Arc`; queries take no locks against it.
 //! * [`ValidationEngine`] serves queries over the plan. The *indexed*
 //!   path evaluates only the constraints whose parameters the query
 //!   actually touches (everything else is `NotApplicable` by
@@ -59,5 +60,5 @@ pub use engine::{
     ValidationEngine, ValidationOutcome,
 };
 pub use memo::{MemoOptions, MemoStats, ShardedMemo};
-pub use plan::{PairEntry, ValidationPlan};
+pub use plan::ValidationPlan;
 pub use query::ConfigQuery;

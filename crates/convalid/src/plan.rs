@@ -2,198 +2,23 @@
 //! [`ConstraintSet`].
 //!
 //! Compilation happens once at startup; every query afterwards reads
-//! the plan lock-free. Each constraint is lowered into a pre-resolved
-//! [check](Check) — the kind dispatch, the registry parameter-name
-//! mapping, the `"must not equal"` relation probe, and the data-type
-//! shape string are all resolved at compile time, so the hot path does
-//! no string matching. An inverted index maps every
-//! `(component, registry parameter)` a constraint reads to the
-//! constraint's position, so a query evaluates only the constraints
-//! its touched parameters participate in; everything else is
+//! the plan lock-free. Each constraint already carries its pre-resolved
+//! [`confdep::Predicate`] (lowered once by `Constraint::new`), so the
+//! plan adds only what serving needs on top: an inverted index from
+//! every predicate's subject `(component, registry parameter)` slot to
+//! the constraint's position, so a query evaluates only the constraints
+//! its touched parameters participate in — everything else is
 //! `NotApplicable` by construction (the equivalence argument is spelled
-//! out on [`ValidationPlan::evaluate_indexed`]).
+//! out on [`ValidationPlan::evaluate_indexed`]) — and the precomputed
+//! documentation verdicts.
 
 use std::collections::HashMap;
 
-use confdep::constraint::registry_name;
-use confdep::{ConstraintSet, DepKind, DocVerdict, Endpoint, Verdict};
-use e2fstools::typed::{TypedConfig, TypedValue};
+use confdep::{ConstraintSet, DocVerdict, Verdict};
+use e2fstools::typed::TypedConfig;
 use ecosys::Ecosystem;
-use serde::{Deserialize, Serialize};
 
 use crate::query::ConfigQuery;
-
-/// One precomputed control-pair row of the plan: a CPD/CCD control
-/// constraint with both ends resolved to `(component, registry
-/// parameter)` names.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PairEntry {
-    /// Position of the constraint in the compiled set.
-    pub position: usize,
-    /// Subject component.
-    pub s_component: String,
-    /// Subject parameter (registry name).
-    pub s_param: String,
-    /// Object component.
-    pub o_component: String,
-    /// Object parameter (registry name).
-    pub o_param: String,
-    /// `true` for a requirement, `false` for mutual exclusion.
-    pub requires: bool,
-    /// `true` for a cross-ecosystem agreement pair (the "must agree"
-    /// relation of the shared-mount-parameter CCDs): both ends engaged
-    /// must carry equal values.
-    pub agrees: bool,
-    /// `true` when the pair spans two components (CCD).
-    pub cross_component: bool,
-}
-
-/// The required value shape of a data-type check, pre-resolved from
-/// the detail's type string.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Shape {
-    Int,
-    Bool,
-    Str,
-    /// Unknown type strings satisfy vacuously once the value exists.
-    Any,
-}
-
-impl Shape {
-    fn of(ty: &str) -> Shape {
-        match ty {
-            "integer" | "int" | "size" => Shape::Int,
-            "boolean" | "bool" | "flag" => Shape::Bool,
-            "string" | "enum" | "path" => Shape::Str,
-            _ => Shape::Any,
-        }
-    }
-
-    fn matches(self, v: &TypedValue) -> bool {
-        match self {
-            Shape::Int => matches!(v, TypedValue::Int(_)),
-            Shape::Bool => matches!(v, TypedValue::Bool(_)),
-            Shape::Str => matches!(v, TypedValue::Str(_)),
-            Shape::Any => true,
-        }
-    }
-}
-
-/// How a control pair relates its two ends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PairMode {
-    /// Subject engaged requires the object engaged.
-    Requires,
-    /// Subject and object engaged together is the violation.
-    Excludes,
-    /// Both ends present must carry *equal* values — the cross-
-    /// ecosystem "must agree" relation of the shared-mount-parameter
-    /// CCDs.
-    Agrees,
-}
-
-/// One constraint lowered to its pre-resolved executable form. The
-/// evaluation of each variant reproduces `Constraint::evaluate` for
-/// the corresponding kind exactly — same falls-through-duplicates
-/// value lookup, same predicates, same verdicts.
-#[derive(Debug, Clone)]
-enum Check {
-    /// `SdValueRange` over an integer subject.
-    Range {
-        component: String,
-        param: String,
-        min: Option<i64>,
-        max: Option<i64>,
-        /// Non-empty only when the relation says "must not equal".
-        must_not: Vec<i64>,
-    },
-    /// `SdDataType` with a known required type.
-    Type { component: String, param: String, shape: Shape },
-    /// `CpdControl`/`CcdControl` with a parameter object.
-    Pair {
-        s_component: String,
-        s_param: String,
-        o_component: String,
-        o_param: String,
-        mode: PairMode,
-    },
-    /// Statically inert: value couplings, behavioural CCDs, data-type
-    /// constraints with no required type, control pairs with no
-    /// parameter object. Always `NotApplicable`.
-    Inert,
-}
-
-/// The exact value-lookup rule of `Constraint::evaluate`: walk every
-/// config whose `component` matches and take the first that holds the
-/// registry-named parameter. Falling through duplicate components
-/// matters once a query can carry more than one config per component
-/// (or configs from two ecosystems): stopping at the first match — the
-/// plan's original single-ecosystem shortcut — would silently diverge
-/// from the direct path.
-fn lookup<'a>(views: &[&'a TypedConfig], component: &str, param: &str) -> Option<&'a TypedValue> {
-    views.iter().filter(|c| c.component == component).find_map(|c| c.get(param))
-}
-
-/// Whether a typed value counts as "engaged" for control pairs —
-/// mirrors the constraint compiler's rule.
-fn engaged(v: &TypedValue) -> bool {
-    match v {
-        TypedValue::Bool(b) => *b,
-        TypedValue::Int(_) | TypedValue::Str(_) => true,
-    }
-}
-
-impl Check {
-    fn evaluate(&self, views: &[&TypedConfig]) -> Verdict {
-        match self {
-            Check::Range { component, param, min, max, must_not } => {
-                match lookup(views, component, param) {
-                    Some(TypedValue::Int(v)) => {
-                        if min.is_some_and(|m| *v < m) || max.is_some_and(|m| *v > m) {
-                            return Verdict::Violated;
-                        }
-                        if must_not.contains(v) {
-                            return Verdict::Violated;
-                        }
-                        Verdict::Satisfied
-                    }
-                    _ => Verdict::NotApplicable,
-                }
-            }
-            Check::Type { component, param, shape } => match lookup(views, component, param) {
-                Some(v) => {
-                    if shape.matches(v) {
-                        Verdict::Satisfied
-                    } else {
-                        Verdict::Violated
-                    }
-                }
-                None => Verdict::NotApplicable,
-            },
-            Check::Pair { s_component, s_param, o_component, o_param, mode } => {
-                let (Some(s), Some(o)) =
-                    (lookup(views, s_component, s_param), lookup(views, o_component, o_param))
-                else {
-                    return Verdict::NotApplicable;
-                };
-                if *mode == PairMode::Agrees {
-                    return if s == o { Verdict::Satisfied } else { Verdict::Violated };
-                }
-                let (s_on, o_on) = (engaged(s), engaged(o));
-                let conflict = match mode {
-                    PairMode::Requires => s_on && !o_on,
-                    _ => s_on && o_on,
-                };
-                if conflict {
-                    Verdict::Violated
-                } else {
-                    Verdict::Satisfied
-                }
-            }
-            Check::Inert => Verdict::NotApplicable,
-        }
-    }
-}
 
 /// The compiled, immutable serving plan over one constraint set.
 ///
@@ -206,12 +31,11 @@ pub struct ValidationPlan {
     /// precomputed documentation verdicts, and its solver scope drives
     /// the repair propagation.
     eco: Ecosystem,
-    checks: Vec<Check>,
-    /// component → registry parameter → positions of the checks that
-    /// read that parameter as their *subject*. Two nested maps so the
-    /// hot lookup borrows `&str` keys without allocating.
+    /// component → registry parameter → positions of the constraints
+    /// whose predicate reads that parameter as its *subject*. Two
+    /// nested maps so the hot lookup borrows `&str` keys without
+    /// allocating.
     by_param: HashMap<String, HashMap<String, Vec<u32>>>,
-    pairs: Vec<PairEntry>,
     docs: Vec<DocVerdict>,
 }
 
@@ -223,98 +47,26 @@ impl ValidationPlan {
         ValidationPlan::compile_for(set, ecosys::ext4())
     }
 
-    /// Compiles the serving plan for one registered ecosystem: lower
-    /// each constraint to its check, build the inverted parameter index
-    /// and the control-pair table, and precompute every constraint's
-    /// verdict against the *ecosystem's* manual corpus. The constraint
-    /// set need not come from the ecosystem's own models — the
-    /// cross-ecosystem agreement set compiles here too.
+    /// Compiles the serving plan for one registered ecosystem: index
+    /// each constraint under its predicate's subject slot, and
+    /// precompute every constraint's verdict against the *ecosystem's*
+    /// manual corpus. The constraint set need not come from the
+    /// ecosystem's own models — the cross-ecosystem agreement set
+    /// compiles here too.
     pub fn compile_for(set: ConstraintSet, eco: Ecosystem) -> Self {
-        let mut checks = Vec::with_capacity(set.len());
         let mut by_param: HashMap<String, HashMap<String, Vec<u32>>> = HashMap::new();
-        let mut pairs = Vec::new();
-        let mut index = |component: &str, param: &str, pos: usize| {
-            by_param
-                .entry(component.to_string())
-                .or_default()
-                .entry(param.to_string())
-                .or_default()
-                .push(pos as u32);
-        };
         for (i, c) in set.constraints().iter().enumerate() {
-            let d = &c.dependency;
-            let s_component = d.subject.component.clone();
-            let s_param = registry_name(&d.subject.component, &d.subject.param).to_string();
-            let check = match d.kind {
-                DepKind::SdValueRange => {
-                    let must_not = if d
-                        .detail
-                        .relation
-                        .as_deref()
-                        .is_some_and(|r| r.contains("must not equal"))
-                    {
-                        d.detail.value_set.clone()
-                    } else {
-                        Vec::new()
-                    };
-                    index(&s_component, &s_param, i);
-                    Check::Range {
-                        component: s_component,
-                        param: s_param,
-                        min: d.detail.min,
-                        max: d.detail.max,
-                        must_not,
-                    }
-                }
-                DepKind::SdDataType => match d.detail.data_type.as_deref() {
-                    Some(ty) => {
-                        index(&s_component, &s_param, i);
-                        Check::Type {
-                            component: s_component,
-                            param: s_param,
-                            shape: Shape::of(ty),
-                        }
-                    }
-                    None => Check::Inert,
-                },
-                DepKind::CpdControl | DepKind::CcdControl => match &d.object {
-                    Some(Endpoint::Param(o)) => {
-                        let o_param = registry_name(&o.component, &o.param).to_string();
-                        let relation = d.detail.relation.as_deref();
-                        let mode = if relation.is_some_and(|r| r.contains("must agree")) {
-                            PairMode::Agrees
-                        } else if relation == Some("requires") {
-                            PairMode::Requires
-                        } else {
-                            PairMode::Excludes
-                        };
-                        // a pair engages only when *both* ends hold a
-                        // value, so indexing under the subject alone
-                        // triggers it whenever it can be non-inert
-                        index(&s_component, &s_param, i);
-                        pairs.push(PairEntry {
-                            position: i,
-                            s_component: s_component.clone(),
-                            s_param: s_param.clone(),
-                            o_component: o.component.clone(),
-                            o_param: o_param.clone(),
-                            requires: mode == PairMode::Requires,
-                            agrees: mode == PairMode::Agrees,
-                            cross_component: d.kind == DepKind::CcdControl,
-                        });
-                        Check::Pair {
-                            s_component,
-                            s_param,
-                            o_component: o.component.clone(),
-                            o_param,
-                            mode,
-                        }
-                    }
-                    _ => Check::Inert,
-                },
-                DepKind::CpdValue | DepKind::CcdValue | DepKind::CcdBehavioral => Check::Inert,
-            };
-            checks.push(check);
+            // every engaging predicate needs its subject value (a pair
+            // needs both ends), so indexing under the subject alone
+            // triggers a constraint whenever it can be non-inert
+            if let Some(slot) = c.predicate().subject() {
+                by_param
+                    .entry(slot.component.clone())
+                    .or_default()
+                    .entry(slot.param.clone())
+                    .or_default()
+                    .push(i as u32);
+            }
         }
         // the ecosystem's ConDocCk corpus — the same pages the doc
         // checker reads, so an explanation's doc verdict agrees with
@@ -322,7 +74,7 @@ impl ValidationPlan {
         let manuals = eco.doc_corpus();
         let pages: Vec<&e2fstools::ManualPage> = manuals.iter().collect();
         let docs = set.constraints().iter().map(|c| c.doc_verdict(&pages)).collect();
-        ValidationPlan { set, eco, checks, by_param, pairs, docs }
+        ValidationPlan { set, eco, by_param, docs }
     }
 
     /// The underlying compiled constraint set.
@@ -337,17 +89,12 @@ impl ValidationPlan {
 
     /// Number of constraints in the plan.
     pub fn len(&self) -> usize {
-        self.checks.len()
+        self.set.len()
     }
 
     /// True when the plan holds no constraints.
     pub fn is_empty(&self) -> bool {
-        self.checks.is_empty()
-    }
-
-    /// The precomputed control-pair table.
-    pub fn pairs(&self) -> &[PairEntry] {
-        &self.pairs
+        self.set.is_empty()
     }
 
     /// The precomputed manual-corpus verdict of the constraint at
@@ -366,10 +113,10 @@ impl ValidationPlan {
         (verdicts, n)
     }
 
-    /// The indexed path: evaluate only the checks whose subject
+    /// The indexed path: evaluate only the constraints whose subject
     /// parameter the query actually sets; every other slot stays
     /// `NotApplicable`. Returns the verdict vector and the number of
-    /// checks evaluated.
+    /// constraints evaluated.
     ///
     /// Equivalence with [`ValidationPlan::evaluate_naive`] holds by
     /// construction: a constraint can only evaluate to something other
@@ -378,13 +125,13 @@ impl ValidationPlan {
     /// subject value; control pairs need the subject *and* object
     /// values). The index walk visits every config of the query —
     /// duplicate components included — so any such query triggers the
-    /// constraint. Spuriously triggered checks (object-only pairs)
-    /// evaluate with the same falls-through-duplicates lookup the
-    /// direct path uses, so they land on `NotApplicable` identically.
+    /// constraint, and a triggered constraint is evaluated by
+    /// [`confdep::Constraint::evaluate`] itself — the one evaluator.
     pub fn evaluate_indexed(&self, query: &ConfigQuery) -> (Vec<Verdict>, usize) {
         let views = query.views();
-        let mut verdicts = vec![Verdict::NotApplicable; self.checks.len()];
-        let mut seen = vec![0u64; self.checks.len().div_ceil(64)];
+        let constraints = self.set.constraints();
+        let mut verdicts = vec![Verdict::NotApplicable; constraints.len()];
+        let mut seen = vec![0u64; constraints.len().div_ceil(64)];
         let mut evaluated = 0usize;
         for cfg in &query.configs {
             let Some(params) = self.by_param.get(&cfg.component) else { continue };
@@ -396,7 +143,7 @@ impl ValidationPlan {
                         continue;
                     }
                     seen[word] |= 1 << bit;
-                    verdicts[pos as usize] = self.checks[pos as usize].evaluate(&views);
+                    verdicts[pos as usize] = constraints[pos as usize].evaluate(&views);
                     evaluated += 1;
                 }
             }
@@ -408,7 +155,7 @@ impl ValidationPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use confdep::{extract_scenario, models, ExtractOptions};
+    use confdep::{extract_scenario, models, ExtractOptions, PairMode, Predicate};
 
     fn plan() -> ValidationPlan {
         ValidationPlan::compile(ConstraintSet::compile(
@@ -421,13 +168,17 @@ mod tests {
         let p = plan();
         assert_eq!(p.len(), 64);
         assert!(!p.is_empty());
-        assert!(!p.pairs().is_empty());
-        // every pair row points at a control constraint
-        for row in p.pairs() {
-            let kind = p.constraints().constraints()[row.position].dependency.kind;
-            assert!(matches!(kind, DepKind::CpdControl | DepKind::CcdControl));
-            assert_eq!(row.cross_component, kind == DepKind::CcdControl);
+        // every engaging constraint is indexed under its subject slot,
+        // and inert ones under nothing
+        let indexed: usize = p.by_param.values().flat_map(|m| m.values()).map(Vec::len).sum();
+        for (i, c) in p.constraints().constraints().iter().enumerate() {
+            if let Some(slot) = c.predicate().subject() {
+                assert!(p.by_param[&slot.component][&slot.param].contains(&(i as u32)));
+            }
         }
+        let engaging =
+            p.constraints().constraints().iter().filter(|c| c.predicate().subject().is_some());
+        assert_eq!(indexed, engaging.count());
     }
 
     #[test]
@@ -507,7 +258,11 @@ mod tests {
         // when both ends hold *different* values, on both eval paths
         let p = ValidationPlan::compile_for(ecosys::cross_fs_constraints(), ecosys::ext4());
         assert!(!p.is_empty());
-        assert!(p.pairs().iter().all(|row| row.agrees && row.cross_component));
+        assert!(p.constraints().constraints().iter().all(|c| matches!(
+            c.predicate(),
+            Predicate::Pair { subject, object, mode: PairMode::Agrees }
+                if subject.component != object.component
+        )));
         let mut ext4_mnt = TypedConfig::new("mount");
         let mut f2fs_mnt = TypedConfig::new("f2fs");
         ext4_mnt.set_bool("discard", true);

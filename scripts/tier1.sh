@@ -8,14 +8,32 @@
 # checking the BENCH JSON is well-formed and the racing engines (or
 # cache policies) agreed — plus a second-ecosystem (F2FS) smoke with a
 # cross-FS agreement check, a grep lint holding the line on
-# unwrap/expect in ext4sim runtime code, and a grep lint keeping the
-# checker layers ecosystem-agnostic.
+# unwrap/expect in ext4sim runtime code, a grep lint keeping the
+# checker layers ecosystem-agnostic, and a grep lint keeping the
+# constraint evaluator single (relation and data-type strings are
+# decoded only where confdep lowers a dependency into its predicate).
+# The root manifest's default-members make `cargo test` cover every
+# crate; the gate fails if the executed test count drops below the
+# floor.
 # Run from anywhere; operates on the repository containing this script.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
-cargo test -q
+mkdir -p target
+cargo test -q 2>&1 | tee target/tier1_tests.log
+python3 - <<'EOF'
+import re
+
+floor = 806
+with open("target/tier1_tests.log") as f:
+    passed = sum(int(n) for n in re.findall(r"test result: ok\. (\d+) passed", f.read()))
+assert passed >= floor, (
+    f"cargo test executed {passed} passing tests, below the floor of {floor}: "
+    "a crate or test target dropped out of the default members"
+)
+print(f"test count OK: {passed} passed (floor {floor})")
+EOF
 cargo clippy --workspace -- -D warnings
 
 rm -f target/tier1_corpus.vstore
@@ -352,4 +370,56 @@ for root, ceiling in ceilings.items():
         "route new ecosystem wiring through the ecosys registry layer"
     )
 print("ecosystem-agnostic checker lint OK")
+EOF
+
+# Grep lint: one constraint evaluator. What a dependency means as a
+# predicate is decided once, where confdep lowers it
+# (crates/confdep/src/constraint.rs); every other consumer reads the
+# lowered form. So the relation probes and the data-type spellings may
+# appear in non-test code only there, and in the producers that write
+# the relation strings in the first place.
+python3 - <<'EOF'
+import glob
+import re
+
+probes = {
+    "must not equal": r"must not equal",
+    "must agree": r"must agree",
+    'Some("requires")': r'Some\("requires"\)',
+    '"integer" | "int"': r'"integer"\s*\|\s*"int"',
+    '"boolean" | "bool"': r'"boolean"\s*\|\s*"bool"',
+    '"string" | "enum"': r'"string"\s*\|\s*"enum"',
+}
+allowed = {
+    "crates/confdep/src/constraint.rs": set(probes),
+    # producers: the extractor's range relation, the cross-FS CCDs
+    "crates/confdep/src/extract.rs": {"must not equal"},
+    "crates/ecosys/src/lib.rs": {"must agree"},
+}
+
+def code_lines(path):
+    with open(path) as f:
+        src = f.read()
+    cut = src.find("#[cfg(test)]")
+    for line in (src if cut < 0 else src[:cut]).splitlines():
+        if line.strip().startswith("//"):
+            continue
+        # drop a trailing comment that is not inside a string literal
+        m = re.search(r"\s//", line)
+        if m and line[: m.start()].count('"') % 2 == 0:
+            line = line[: m.start()]
+        yield line
+
+paths = glob.glob("crates/*/src/**/*.rs", recursive=True) + glob.glob("src/**/*.rs", recursive=True)
+failures = []
+for path in sorted(paths):
+    for line in code_lines(path):
+        for name, pattern in probes.items():
+            if re.search(pattern, line) and name not in allowed.get(path, set()):
+                failures.append(f"{path}: {name}: {line.strip()}")
+assert not failures, (
+    "relation or data-type strings decoded outside confdep's predicate "
+    "lowering (read Constraint::predicate instead):\n" + "\n".join(failures)
+)
+print("single-evaluator lint OK")
 EOF

@@ -11,8 +11,7 @@ use std::sync::{Arc, OnceLock};
 use proptest::prelude::*;
 
 use confdep_suite::confdep::{
-    constraint::registry_name, extract_scenario, models, ConstraintSet, Endpoint,
-    ExtractOptions, Verdict,
+    extract_scenario, models, ConstraintSet, ExtractOptions, Predicate, Verdict,
 };
 use confdep_suite::convalid::{
     ConfigQuery, EngineOptions, ValidationEngine, ValidationPlan,
@@ -53,16 +52,13 @@ fn param_universe() -> &'static Vec<(String, String)> {
     UNIVERSE.get_or_init(|| {
         let mut seen = BTreeSet::new();
         for c in plan().constraints().constraints() {
-            let d = &c.dependency;
-            seen.insert((
-                d.subject.component.clone(),
-                registry_name(&d.subject.component, &d.subject.param).to_string(),
-            ));
-            if let Some(Endpoint::Param(p)) = &d.object {
-                seen.insert((
-                    p.component.clone(),
-                    registry_name(&p.component, &p.param).to_string(),
-                ));
+            let p = c.predicate();
+            let object = match p {
+                Predicate::Pair { object, .. } => Some(object),
+                _ => None,
+            };
+            for slot in p.subject().into_iter().chain(object) {
+                seen.insert((slot.component.clone(), slot.param.clone()));
             }
         }
         seen.into_iter().collect()
@@ -91,26 +87,53 @@ fn value_strategy() -> impl Strategy<Value = TypedValue> {
 /// A random whole-configuration state: a subset of the constraint
 /// parameter universe with arbitrary typed values, grouped into one
 /// `TypedConfig` per component (always materializing the `mke2fs` and
-/// `mount` views, as the CLI surface does).
+/// `mount` views, as the CLI surface does) — and, sometimes, a second
+/// view of an existing component, empty or populated, at any position,
+/// so the falls-through-duplicates lookup rule is exercised on every
+/// path.
 fn query_strategy() -> impl Strategy<Value = ConfigQuery> {
     let universe_len = param_universe().len();
-    prop::collection::vec((0..universe_len, value_strategy()), 0..12).prop_map(|picks| {
-        let universe = param_universe();
-        let mut components: Vec<TypedConfig> =
-            vec![TypedConfig::new("mke2fs"), TypedConfig::new("mount")];
-        for (at, value) in picks {
-            let (component, param) = &universe[at];
-            let cfg = match components.iter_mut().find(|c| &c.component == component) {
-                Some(cfg) => cfg,
-                None => {
-                    components.push(TypedConfig::new(component));
-                    components.last_mut().unwrap()
+    // (none / empty / populated, which component, where, its values)
+    let duplicate = (
+        0u8..3,
+        0usize..1024,
+        0usize..1024,
+        prop::collection::vec((0..universe_len, value_strategy()), 1..3),
+    );
+    (prop::collection::vec((0..universe_len, value_strategy()), 0..12), duplicate).prop_map(
+        |(picks, duplicate)| {
+            let universe = param_universe();
+            let mut components: Vec<TypedConfig> =
+                vec![TypedConfig::new("mke2fs"), TypedConfig::new("mount")];
+            for (at, value) in picks {
+                let (component, param) = &universe[at];
+                let cfg = match components.iter_mut().find(|c| &c.component == component) {
+                    Some(cfg) => cfg,
+                    None => {
+                        components.push(TypedConfig::new(component));
+                        components.last_mut().unwrap()
+                    }
+                };
+                cfg.values.insert(param.clone(), value);
+            }
+            let (mode, of, at, dup_picks) = duplicate;
+            if mode > 0 {
+                // a populated duplicate draws its parameters from the
+                // duplicated component's share of the universe
+                let component = components[of % components.len()].component.clone();
+                let params: Vec<&String> =
+                    universe.iter().filter(|(c, _)| *c == component).map(|(_, p)| p).collect();
+                let mut dup = TypedConfig::new(&component);
+                if mode == 2 && !params.is_empty() {
+                    for (pick, value) in dup_picks {
+                        dup.values.insert(params[pick % params.len()].clone(), value);
+                    }
                 }
-            };
-            cfg.values.insert(param.clone(), value);
-        }
-        ConfigQuery::new(components)
-    })
+                components.insert(at % (components.len() + 1), dup);
+            }
+            ConfigQuery::new(components)
+        },
+    )
 }
 
 fn direct_verdicts(query: &ConfigQuery) -> Vec<Verdict> {
@@ -179,4 +202,32 @@ proptest! {
             prop_assert!(indexed.validate(&query).ok());
         }
     }
+}
+
+/// Regression: `repair` used to spin forever when a query carried two
+/// views of one component and the violating value sat in the second —
+/// the leftover pass removed the subject from the *first* view, which
+/// the evaluator never read.
+#[test]
+fn repair_terminates_on_duplicate_component_views() {
+    let (_, indexed, _) = engines();
+    let mut populated = TypedConfig::new("mke2fs");
+    populated.set_int("blocksize", 99); // violates the 1024..=65536 range
+    let query = ConfigQuery::new(vec![
+        TypedConfig::new("mke2fs"),
+        populated,
+        TypedConfig::new("mount"),
+    ]);
+    assert!(!indexed.validate(&query).ok(), "query built to violate");
+    let (done, receive) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let _ = done.send(indexed.repair(&query));
+    });
+    let proposal = receive
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("repair did not return on duplicate component views");
+    worker.join().expect("repair thread panicked");
+    assert!(proposal.clean);
+    let repaired = ConfigQuery::new(proposal.configs);
+    assert!(indexed.validate(&repaired).ok());
 }
