@@ -67,8 +67,9 @@ fn main() {
     println!("== Ablation 3: ConBugCk dependency-aware generation ==");
     let n = 60;
     let mut gen = ConBugCk::new(2022).expect("models compile");
-    let aware = campaign(&gen.generate(n));
-    let naive = campaign(&generate_naive(2022, n));
+    // one worker per core: the tally does not depend on the count
+    let aware = campaign(&gen.generate(n), 0);
+    let naive = campaign(&generate_naive(2022, n), 0);
     println!(
         "aware : {n} configs -> cli-rejected {} | format-rejected {} | mount-rejected {} | deep {} ({:.0}%)",
         aware.rejected_cli,

@@ -18,8 +18,9 @@
 use crate::{BlockDevice, DeviceError};
 
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-/// Standard FNV-1a offset basis: the first digest stream.
-const SEED_A: u64 = 0xcbf2_9ce4_8422_2325;
+/// The standard 64-bit FNV-1a offset basis: the seed of a fresh
+/// [`fnv1a`] stream, and the first digest stream.
+pub const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 /// An independent second basis (the 64-bit golden ratio), so a
 /// collision must defeat two unrelated streams at once.
 const SEED_B: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -40,15 +41,24 @@ pub struct BlockContribution {
     b: u64,
 }
 
-fn fnv1a(seed: u64, block: u64, data: &[u8]) -> u64 {
+/// Folds `bytes` into the 64-bit FNV-1a state `seed`.
+///
+/// The one FNV-1a in the workspace: image digests, store checksums and
+/// context tags, configuration state fingerprints and analysis-cache
+/// keys all hash through it. Start a fresh stream from
+/// [`FNV_OFFSET_BASIS`]; pass a previous result to continue one.
+#[inline]
+pub fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
     let mut h = seed;
-    for byte in block.to_le_bytes() {
-        h = (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-    }
-    for &byte in data {
+    for &byte in bytes {
         h = (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// One digest stream of block `block` holding `data`.
+fn block_stream(seed: u64, block: u64, data: &[u8]) -> u64 {
+    fnv1a(fnv1a(seed, &block.to_le_bytes()), data)
 }
 
 /// `FNV_PRIME.pow(n)` with wrapping arithmetic (square-and-multiply).
@@ -67,7 +77,10 @@ fn fnv_prime_pow(mut n: usize) -> u64 {
 
 /// The contribution of block `block` holding `data`.
 pub fn block_contribution(block: u64, data: &[u8]) -> BlockContribution {
-    BlockContribution { a: fnv1a(SEED_A, block, data), b: fnv1a(SEED_B, block, data) }
+    BlockContribution {
+        a: block_stream(FNV_OFFSET_BASIS, block, data),
+        b: block_stream(SEED_B, block, data),
+    }
 }
 
 /// The contribution of an all-zero block of `block_size` bytes.
@@ -79,8 +92,8 @@ pub fn block_contribution(block: u64, data: &[u8]) -> BlockContribution {
 pub fn zero_block_contribution(block: u64, block_size: u32) -> BlockContribution {
     let tail = fnv_prime_pow(block_size as usize);
     BlockContribution {
-        a: fnv1a(SEED_A, block, &[]).wrapping_mul(tail),
-        b: fnv1a(SEED_B, block, &[]).wrapping_mul(tail),
+        a: block_stream(FNV_OFFSET_BASIS, block, &[]).wrapping_mul(tail),
+        b: block_stream(SEED_B, block, &[]).wrapping_mul(tail),
     }
 }
 
@@ -93,13 +106,7 @@ impl ImageDigest {
     /// campaign can key a [`crate::VerdictStore`] by non-image content
     /// without inventing a second key type.
     pub fn of_bytes(bytes: &[u8]) -> Self {
-        let mut a = SEED_A;
-        let mut b = SEED_B;
-        for &byte in bytes {
-            a = (a ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-            b = (b ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-        }
-        ImageDigest { a, b }
+        ImageDigest { a: fnv1a(FNV_OFFSET_BASIS, bytes), b: fnv1a(SEED_B, bytes) }
     }
 
     /// Adds one block's contribution.
@@ -147,6 +154,15 @@ pub fn digest_device<D: BlockDevice>(dev: &D) -> Result<ImageDigest, DeviceError
 mod tests {
     use super::*;
     use crate::MemDevice;
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        assert_eq!(fnv1a(FNV_OFFSET_BASIS, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(FNV_OFFSET_BASIS, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(FNV_OFFSET_BASIS, b"foobar"), 0x8594_4171_f739_67e8);
+        // a stream continues across calls
+        assert_eq!(fnv1a(fnv1a(FNV_OFFSET_BASIS, b"foo"), b"bar"), 0x8594_4171_f739_67e8);
+    }
 
     #[test]
     fn zero_contribution_matches_hashed_zeroes() {

@@ -49,7 +49,8 @@ mod store;
 pub use cow::CowDevice;
 pub use device::BlockDevice;
 pub use digest::{
-    block_contribution, digest_device, zero_block_contribution, BlockContribution, ImageDigest,
+    block_contribution, digest_device, fnv1a, zero_block_contribution, BlockContribution,
+    ImageDigest, FNV_OFFSET_BASIS,
 };
 pub use error::DeviceError;
 pub use faulty::{FaultPlan, FaultyDevice, InjectedFault};
@@ -58,4 +59,4 @@ pub use mem::MemDevice;
 pub use recording::{IoEvent, IoTrace, RecordingDevice};
 pub use shared::SharedDevice;
 pub use stats::{IoStats, StatsDevice};
-pub use store::{context as store_context, StoreKey, StoreOpenReport, VerdictStore};
+pub use store::{context as store_context, StoreCut, StoreKey, StoreOpenReport, VerdictStore};

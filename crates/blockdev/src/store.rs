@@ -22,9 +22,11 @@
 //! where the payload is the JSON key line (`{"a":..,"b":..,"x":..}`),
 //! a newline, and the JSON-serialised verdict. Length-prefixing plus a
 //! per-record checksum means truncation and bit-level garbage are both
-//! detected on load; a corrupt store falls back to a cold start (the
-//! file is truncated back to its header) with a warning rather than
-//! poisoning a campaign with bogus verdicts.
+//! detected on load. The first bad frame ends the log: the records
+//! before it load, the file is truncated at its offset, and the cut is
+//! reported with a warning — a process killed mid-append loses only
+//! the record it was writing, and a campaign is never poisoned with
+//! bogus verdicts. Only an unusable header cold-starts the store.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -36,7 +38,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use crate::ImageDigest;
+use crate::{fnv1a, ImageDigest, FNV_OFFSET_BASIS};
 
 /// Store key: content digest plus a context discriminator (e.g. a hash
 /// of the applicable expectation set).
@@ -65,13 +67,9 @@ pub fn context(tag: &str) -> u64 {
     checksum(tag.as_bytes())
 }
 
+/// A record payload's checksum: FNV-1a from the offset basis.
 fn checksum(payload: &[u8]) -> u64 {
-    // FNV-1a, same constants as the digest module's first stream.
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &byte in payload {
-        h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a(FNV_OFFSET_BASIS, payload)
 }
 
 /// What happened when a store was opened — the typed form of the
@@ -86,15 +84,25 @@ pub struct StoreOpenReport {
     /// Whether an append-only log is attached (false when I/O trouble
     /// degraded the store to memory-only).
     pub persistent: bool,
-    /// Why the store started cold, when it did: the corruption or I/O
-    /// failure message. `None` for a clean open (including a fresh,
-    /// empty file).
+    /// Why the store started cold, when it did: an unusable header or
+    /// an I/O failure. `None` for a clean open (including a fresh,
+    /// empty file) and for a log that was only cut.
     pub cold_start: Option<String>,
     /// Records preloaded from disk.
     pub preloaded: usize,
-    /// Records parsed and then discarded because a later frame was
-    /// corrupt (the whole file is rejected on any framing error).
-    pub dropped: usize,
+    /// Where a torn or corrupt tail was cut off, when one was.
+    #[serde(default)]
+    pub cut: Option<StoreCut>,
+}
+
+/// The first bad frame of a store log: everything from `offset` on was
+/// truncated away, and the records before it were kept.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct StoreCut {
+    /// Byte offset of the first bad frame.
+    pub offset: u64,
+    /// Why the frame was rejected.
+    pub reason: String,
 }
 
 /// Digest-keyed verdict memo shared by crashsim and faultsim, with an
@@ -151,8 +159,9 @@ where
     /// Opens (creating if absent) a persistent store at `path`.
     ///
     /// Infallible by design: an I/O failure degrades to a memory-only
-    /// store with a warning, and a truncated or corrupt file is reset
-    /// to an empty store (cold start) with a warning — campaigns never
+    /// store with a warning, a torn or corrupt tail is cut off after
+    /// the last good record with a warning, and an unusable header
+    /// resets the file to an empty store (cold start) — campaigns never
     /// abort because of store trouble.
     pub fn open(path: impl AsRef<Path>) -> Self {
         let path = path.as_ref();
@@ -180,44 +189,48 @@ where
             return Self::degraded(report);
         }
         let mut map = HashMap::new();
-        let mut reset = false;
-        if raw.is_empty() {
-            reset = true; // fresh file: stamp the header below
+        // where the kept log ends; `None` stamps a fresh header
+        let keep = if raw.is_empty() {
+            None
         } else {
             match Self::parse(&raw, &mut map) {
-                Ok(()) => {}
+                Ok(None) => Some(raw.len() as u64),
+                Ok(Some(cut)) => {
+                    eprintln!(
+                        "warning: verdict store {}: {} at byte {}; keeping the {} record(s) before it",
+                        path.display(),
+                        cut.reason,
+                        cut.offset,
+                        map.len()
+                    );
+                    let end = cut.offset;
+                    report.cut = Some(cut);
+                    Some(end)
+                }
                 Err(why) => {
                     eprintln!(
-                        "warning: verdict store {} is corrupt ({why}); cold-starting",
+                        "warning: verdict store {} is unusable ({why}); cold-starting",
                         path.display()
                     );
-                    report.dropped = map.len();
                     report.cold_start = Some(why);
-                    map.clear();
-                    reset = true;
+                    None
                 }
             }
-        }
-        if reset {
-            let fresh = file
+        };
+        let ready = match keep {
+            Some(end) => file.set_len(end).and_then(|()| file.seek(SeekFrom::End(0)).map(|_| ())),
+            None => file
                 .set_len(0)
                 .and_then(|()| file.seek(SeekFrom::Start(0)).map(|_| ()))
                 .and_then(|()| file.write_all(&MAGIC))
-                .and_then(|()| file.write_all(&VERSION.to_le_bytes()));
-            if let Err(e) = fresh {
-                eprintln!(
-                    "warning: verdict store {}: reset failed ({e}); continuing without persistence",
-                    path.display()
-                );
-                report.cold_start = Some(format!("reset failed: {e}"));
-                return Self::degraded(report);
-            }
-        } else if let Err(e) = file.seek(SeekFrom::End(0)) {
+                .and_then(|()| file.write_all(&VERSION.to_le_bytes())),
+        };
+        if let Err(e) = ready {
             eprintln!(
-                "warning: verdict store {}: seek failed ({e}); continuing without persistence",
+                "warning: verdict store {}: preparing the log failed ({e}); continuing without persistence",
                 path.display()
             );
-            report.cold_start = Some(format!("seek failed: {e}"));
+            report.cold_start = Some(format!("log setup failed: {e}"));
             return Self::degraded(report);
         }
         report.persistent = true;
@@ -234,9 +247,10 @@ where
         }
     }
 
-    /// Parses a full store image into `map`; any framing, checksum or
-    /// decode failure rejects the whole file (cold-start semantics).
-    fn parse(raw: &[u8], map: &mut HashMap<StoreKey, V>) -> Result<(), String> {
+    /// Parses a store image into `map`. An unusable header is an error
+    /// (cold start). The first bad frame ends the log and comes back as
+    /// the cut; every record before it is loaded.
+    fn parse(raw: &[u8], map: &mut HashMap<StoreKey, V>) -> Result<Option<StoreCut>, String> {
         if raw.len() < HEADER_LEN as usize {
             return Err("short header".into());
         }
@@ -249,44 +263,39 @@ where
         }
         let mut at = HEADER_LEN as usize;
         while at < raw.len() {
-            if raw.len() - at < 12 {
-                return Err(format!("truncated frame at byte {at}"));
+            match Self::frame(&raw[at..]) {
+                Ok((key, value, len)) => {
+                    map.insert(key, value);
+                    at += len;
+                }
+                Err(reason) => return Ok(Some(StoreCut { offset: at as u64, reason })),
             }
-            let len = u32::from_le_bytes([raw[at], raw[at + 1], raw[at + 2], raw[at + 3]]);
-            if len > MAX_PAYLOAD {
-                return Err(format!("implausible record length {len} at byte {at}"));
-            }
-            let sum = u64::from_le_bytes([
-                raw[at + 4],
-                raw[at + 5],
-                raw[at + 6],
-                raw[at + 7],
-                raw[at + 8],
-                raw[at + 9],
-                raw[at + 10],
-                raw[at + 11],
-            ]);
-            let start = at + 12;
-            let end = start + len as usize;
-            if end > raw.len() {
-                return Err(format!("truncated payload at byte {at}"));
-            }
-            let payload = &raw[start..end];
-            if checksum(payload) != sum {
-                return Err(format!("checksum mismatch at byte {at}"));
-            }
-            let text =
-                std::str::from_utf8(payload).map_err(|_| format!("non-UTF8 payload at {at}"))?;
-            let (key_line, value_json) =
-                text.split_once('\n').ok_or_else(|| format!("unframed payload at {at}"))?;
-            let key: KeyLine = serde_json::from_str(key_line)
-                .map_err(|e| format!("bad key at byte {at}: {e:?}"))?;
-            let value: V = serde_json::from_str(value_json)
-                .map_err(|e| format!("bad value at byte {at}: {e:?}"))?;
-            map.insert((ImageDigest { a: key.a, b: key.b }, key.x), value);
-            at = end;
         }
-        Ok(())
+        Ok(None)
+    }
+
+    /// Decodes the record frame at the start of `raw`: its key, its
+    /// value and the frame's length in bytes.
+    fn frame(raw: &[u8]) -> Result<(StoreKey, V, usize), String> {
+        if raw.len() < 12 {
+            return Err("truncated frame".into());
+        }
+        let len = u32::from_le_bytes([raw[0], raw[1], raw[2], raw[3]]);
+        if len > MAX_PAYLOAD {
+            return Err(format!("implausible record length {len}"));
+        }
+        let mut sum = [0u8; 8];
+        sum.copy_from_slice(&raw[4..12]);
+        let end = 12 + len as usize;
+        let payload = raw.get(12..end).ok_or("truncated payload")?;
+        if checksum(payload) != u64::from_le_bytes(sum) {
+            return Err("checksum mismatch".into());
+        }
+        let text = std::str::from_utf8(payload).map_err(|_| "non-UTF8 payload")?;
+        let (key_line, value_json) = text.split_once('\n').ok_or("unframed payload")?;
+        let key: KeyLine = serde_json::from_str(key_line).map_err(|e| format!("bad key: {e:?}"))?;
+        let value: V = serde_json::from_str(value_json).map_err(|e| format!("bad value: {e:?}"))?;
+        Ok(((ImageDigest { a: key.a, b: key.b }, key.x), value, end))
     }
 
     /// Looks up a verdict, counting a hit or a miss. A disabled store
@@ -375,7 +384,7 @@ where
     }
 
     /// The typed record of what happened at open time (path,
-    /// persistence, cold-start reason, preloaded/dropped records).
+    /// persistence, cold-start reason, preloaded records, the cut).
     pub fn open_report(&self) -> &StoreOpenReport {
         &self.open_report
     }
@@ -463,9 +472,11 @@ mod tests {
         std::fs::write(&path, &raw).unwrap();
 
         let store: VerdictStore<usize> = VerdictStore::open(&path);
-        assert_eq!(store.preloaded(), 0, "corrupt store must cold-start");
+        // the bad first frame ends the log: nothing before it to keep
+        assert_eq!(store.preloaded(), 0, "a corrupt first record must not load");
+        assert_eq!(store.open_report().cut.as_ref().map(|c| c.offset), Some(HEADER_LEN));
         assert_eq!(store.lookup(key(1)), None);
-        // The file was reset: new inserts round-trip cleanly again.
+        // The file was cut: new inserts round-trip cleanly again.
         store.insert(key(3), 30);
         drop(store);
         let store: VerdictStore<usize> = VerdictStore::open(&path);
@@ -482,7 +493,7 @@ mod tests {
             let r = store.open_report();
             assert!(r.persistent);
             assert_eq!(r.cold_start, None, "fresh file is not a cold start");
-            assert_eq!((r.preloaded, r.dropped), (0, 0));
+            assert_eq!((r.preloaded, r.cut.as_ref()), (0, None));
             store.insert(key(1), 10);
             store.insert(key(2), 20);
         }
@@ -493,16 +504,17 @@ mod tests {
             assert_eq!(r.preloaded, 2);
             assert_eq!(r.path.as_deref(), Some(path.to_str().unwrap()));
         }
-        // corrupt the second record: the first parses, then is dropped
+        // corrupt the second record: the first is kept, the log is cut
         let mut raw = std::fs::read(&path).unwrap();
         let target = raw.len() - 3;
         raw[target] ^= 0x40;
         std::fs::write(&path, &raw).unwrap();
         let store: VerdictStore<usize> = VerdictStore::open(&path);
         let r = store.open_report();
-        assert!(r.persistent, "cold start still re-attaches the log");
-        assert!(r.cold_start.as_deref().unwrap().contains("checksum mismatch"));
-        assert_eq!((r.preloaded, r.dropped), (0, 1));
+        assert!(r.persistent, "a cut log stays attached");
+        assert_eq!(r.cold_start, None, "a bad tail is not a cold start");
+        assert_eq!(r.cut.as_ref().unwrap().reason, "checksum mismatch");
+        assert_eq!(r.preloaded, 1);
         // in-memory stores carry a default report
         let mem: VerdictStore<usize> = VerdictStore::in_memory(true);
         assert_eq!(mem.open_report(), &StoreOpenReport::default());
@@ -519,7 +531,35 @@ mod tests {
         let raw = std::fs::read(&path).unwrap();
         std::fs::write(&path, &raw[..raw.len() - 5]).unwrap();
         let store: VerdictStore<usize> = VerdictStore::open(&path);
-        assert_eq!(store.preloaded(), 0, "truncated store must cold-start");
+        assert_eq!(store.preloaded(), 0, "a torn sole record must not load");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn torn_final_record_keeps_the_valid_prefix() {
+        let path = temp_store("torn");
+        {
+            let store: VerdictStore<usize> = VerdictStore::open(&path);
+            for n in 1..=3 {
+                store.insert(key(n), n as usize * 10);
+            }
+        }
+        // a process killed mid-append: the last frame is short 5 bytes
+        let raw = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &raw[..raw.len() - 5]).unwrap();
+        let store: VerdictStore<usize> = VerdictStore::open(&path);
+        assert_eq!(store.preloaded(), 2, "records before the tear must survive");
+        assert_eq!(store.lookup(key(2)), Some(20));
+        let cut = store.open_report().cut.clone().expect("the tear is reported");
+        assert_eq!(cut.reason, "truncated payload");
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), cut.offset, "file cut at the tear");
+        // appends after the cut land on a clean frame boundary
+        store.insert(key(3), 30);
+        drop(store);
+        let store: VerdictStore<usize> = VerdictStore::open(&path);
+        assert_eq!(store.preloaded(), 3);
+        assert_eq!(store.open_report().cut, None);
+        assert_eq!(store.lookup(key(3)), Some(30));
         let _ = std::fs::remove_file(&path);
     }
 

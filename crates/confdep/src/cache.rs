@@ -23,24 +23,15 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
+use blockdev::{fnv1a, FNV_OFFSET_BASIS};
+
 use crate::extract::{analyze_component, AnalyzedComponent, ExtractOptions};
 use crate::ConfdepError;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// The content fingerprint of one analysis: FNV-1a over the model
 /// source plus the option bits that affect per-component analysis.
 pub fn fingerprint(src: &str, options: ExtractOptions) -> u64 {
-    let h = fnv1a(FNV_OFFSET, src.as_bytes());
+    let h = fnv1a(FNV_OFFSET_BASIS, src.as_bytes());
     // a separator byte keeps (src, flag) unambiguous
     fnv1a(h, &[0x1f, u8::from(options.interprocedural)])
 }

@@ -1,18 +1,23 @@
 //! A small scoped worker pool with a deterministic merge.
 //!
 //! Several of the ecosystem's hot loops are embarrassingly parallel
-//! fan-outs over independent items — crash-image classification in
-//! `crashsim`, configuration campaigns in ConBugCk, component analysis
-//! in `confdep`. This crate sits below all of them (it depends only on
-//! `crossbeam`), so both `confdep` and `contools` can share one pool;
-//! `contools::pool` re-exports it under the original path.
+//! fan-outs over independent items — component analysis in `confdep`,
+//! fault schedules in `faultsim`, and the campaigns of [`map_unique`].
+//! This crate sits below all of them (it depends only on `crossbeam`),
+//! so every layer shares one pool.
 //! [`parallel_map`] packages the shared pattern once:
 //! items are pulled from a work queue by `threads` crossbeam scoped
 //! workers, and the results are re-assembled **in input order**, so a
 //! parallel run is byte-identical to a sequential one whenever the
 //! per-item function is pure.
+//!
+//! [`map_unique`] is the campaign driver on top: crash exploration in
+//! `crashsim`, the ConBugCk campaign and the fuzz rounds in `contools`
+//! fingerprint each item, run one representative per fingerprint on
+//! the pool, and map every item back to its representative's result.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
+use std::hash::Hash;
 use std::sync::Mutex;
 
 /// Resolves a requested worker count: `0` means one worker per
@@ -87,6 +92,46 @@ where
     tagged.into_iter().map(|(_, r)| r).collect()
 }
 
+/// Runs `f` once per distinct key of `items` on [`parallel_map`].
+///
+/// Items whose `key` is equal share one run: the first occurrence is
+/// the representative, later ones are dropped before the fan-out. A
+/// `None` key never merges with another item. Returns the distinct
+/// results in first-occurrence order, plus each input item's slot into
+/// that list, so `results[slots[i]]` is item `i`'s result.
+///
+/// # Panics
+///
+/// Propagates a panic from `f` after all workers have stopped.
+pub fn map_unique<T, K, R, KF, F>(
+    items: Vec<T>,
+    threads: usize,
+    key: KF,
+    f: F,
+) -> (Vec<R>, Vec<usize>)
+where
+    T: Send,
+    K: Hash + Eq,
+    R: Send,
+    KF: Fn(&T) -> Option<K>,
+    F: Fn(T) -> R + Sync,
+{
+    let mut seen: HashMap<K, usize> = HashMap::new();
+    let mut unique: Vec<T> = Vec::new();
+    let mut slots: Vec<usize> = Vec::with_capacity(items.len());
+    for item in items {
+        let slot = match key(&item) {
+            Some(k) => *seen.entry(k).or_insert(unique.len()),
+            None => unique.len(),
+        };
+        if slot == unique.len() {
+            unique.push(item);
+        }
+        slots.push(slot);
+    }
+    (parallel_map(unique, threads, |_, item| f(item)), slots)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,5 +196,64 @@ mod tests {
             assert!(v != 5, "boom");
             v
         });
+    }
+
+    #[test]
+    fn map_unique_runs_first_occurrence_once_per_key() {
+        let calls = AtomicUsize::new(0);
+        let items = vec![(1, 'a'), (2, 'b'), (1, 'c'), (3, 'd'), (2, 'e')];
+        let (results, slots) = map_unique(
+            items,
+            2,
+            |&(k, _)| Some(k),
+            |(k, c)| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                (k, c)
+            },
+        );
+        // the first occurrence of each key is its representative
+        assert_eq!(results, vec![(1, 'a'), (2, 'b'), (3, 'd')]);
+        assert_eq!(slots, vec![0, 1, 0, 2, 1]);
+        assert_eq!(calls.load(Ordering::Relaxed), 3);
+    }
+
+    #[test]
+    fn map_unique_never_merges_none_keys() {
+        let items = vec![7u32, 7, 8, 7];
+        let (results, slots) = map_unique(items, 2, |&v| (v != 7).then_some(v), |v| v * 10);
+        assert_eq!(results, vec![70, 70, 80, 70]);
+        assert_eq!(slots, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn map_unique_slots_map_back_to_results() {
+        let items: Vec<u32> = (0..200).map(|i| (i * 7919) % 13).collect();
+        let calls = AtomicUsize::new(0);
+        let (results, slots) = map_unique(
+            items.clone(),
+            4,
+            |&v| Some(v),
+            |v| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                v * v
+            },
+        );
+        assert_eq!(calls.load(Ordering::Relaxed), 13, "one run per distinct key");
+        for (item, slot) in items.iter().zip(&slots) {
+            assert_eq!(results[*slot], item * item);
+        }
+    }
+
+    #[test]
+    fn map_unique_is_thread_count_independent() {
+        let items: Vec<u64> = (0..97).map(|i| (i * 31) % 17).collect();
+        let run = |threads| map_unique(items.clone(), threads, |&v| Some(v % 11), |v| v + 1);
+        assert_eq!(run(1), run(4));
+    }
+
+    #[test]
+    fn map_unique_empty_input() {
+        let (results, slots) = map_unique(Vec::<u8>::new(), 4, |&v| Some(v), |v| v);
+        assert!(results.is_empty() && slots.is_empty());
     }
 }

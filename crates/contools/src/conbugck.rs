@@ -9,9 +9,7 @@
 //! *deep-run* rate of dependency-aware generation against naive random
 //! generation.
 
-use std::collections::HashMap;
-
-use blockdev::MemDevice;
+use blockdev::{fnv1a, MemDevice, FNV_OFFSET_BASIS};
 use confdep::{extract_scenario, models, ConstraintSet, ExtractOptions};
 use e2fstools::{E2fsck, FsckMode, Mke2fs, MountCmd, TypedConfig};
 use ext4sim::CachePolicy;
@@ -59,33 +57,21 @@ impl GeneratedConfig {
     pub fn state_id(&self) -> u64 {
         use std::fmt::Write as _;
         let (mkfs, mount) = self.typed();
-        let mut hasher = FnvWriter::new();
+        let mut hasher = FnvWriter(FNV_OFFSET_BASIS);
         mkfs.canonical_key_into(&mut hasher).expect("hashing is infallible");
         hasher.write_char('|').expect("hashing is infallible");
         mount.canonical_key_into(&mut hasher).expect("hashing is infallible");
-        hasher.finish()
+        hasher.0
     }
 }
 
-/// Streaming FNV-1a hasher behind [`std::fmt::Write`], so canonical
-/// keys hash without being materialised as strings.
+/// [`fnv1a`] behind [`std::fmt::Write`], so canonical keys hash without
+/// being materialised as strings.
 struct FnvWriter(u64);
-
-impl FnvWriter {
-    fn new() -> Self {
-        FnvWriter(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
 
 impl std::fmt::Write for FnvWriter {
     fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        for &b in s.as_bytes() {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.0 = fnv1a(self.0, s.as_bytes());
         Ok(())
     }
 }
@@ -389,47 +375,15 @@ fn tally(depths: impl IntoIterator<Item = RunDepth>) -> ConfigCampaign {
     c
 }
 
-/// Runs a campaign over a set of configurations. Identical generated
-/// configurations (same [`GeneratedConfig::state_key`]) execute once;
-/// every duplicate is tallied from the memoized result.
-pub fn campaign(configs: &[GeneratedConfig]) -> ConfigCampaign {
-    let mut memo: HashMap<u64, RunDepth> = HashMap::new();
-    let depths: Vec<RunDepth> = configs
-        .iter()
-        .map(|cfg| {
-            let key = cfg.state_id();
-            match memo.get(&key) {
-                Some(&depth) => depth,
-                None => {
-                    let depth = execute(cfg);
-                    memo.insert(key, depth);
-                    depth
-                }
-            }
-        })
-        .collect();
-    let mut c = tally(depths);
-    c.executed = memo.len();
-    c
-}
-
-/// Like [`campaign`], but executes the distinct configuration runs on
-/// `threads` workers of the shared [`crate::pool`]. Each run owns its
-/// device, so the fan-out is free of shared state and the tally is
-/// identical to the sequential campaign's: duplicates are collapsed to
-/// their first occurrence before the fan-out and tallied afterwards.
-pub fn campaign_parallel(configs: &[GeneratedConfig], threads: usize) -> ConfigCampaign {
-    let mut seen: HashMap<u64, usize> = HashMap::new();
-    let mut uniques: Vec<GeneratedConfig> = Vec::new();
-    let mut slots: Vec<usize> = Vec::with_capacity(configs.len());
-    for cfg in configs {
-        let idx = *seen.entry(cfg.state_id()).or_insert_with(|| {
-            uniques.push(cfg.clone());
-            uniques.len() - 1
-        });
-        slots.push(idx);
-    }
-    let depths = crate::pool::parallel_map(uniques, threads, |_, cfg| execute(&cfg));
+/// Runs a campaign over a set of configurations on `threads` workers
+/// (see [`conpool::effective_threads`]). Identical generated
+/// configurations (same [`GeneratedConfig::state_id`]) execute once, on
+/// the campaign driver [`conpool::map_unique`]; every duplicate is
+/// tallied from its first occurrence's result. Each run owns its
+/// device, so the tally does not depend on the thread count.
+pub fn campaign(configs: &[GeneratedConfig], threads: usize) -> ConfigCampaign {
+    let (depths, slots) =
+        conpool::map_unique(configs.iter().collect(), threads, |cfg| Some(cfg.state_id()), execute);
     let mut c = tally(slots.into_iter().map(|i| depths[i]));
     c.executed = depths.len();
     c
@@ -438,12 +392,13 @@ pub fn campaign_parallel(configs: &[GeneratedConfig], threads: usize) -> ConfigC
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     #[test]
     fn aware_generation_beats_naive() {
         let mut gen = ConBugCk::new(42).unwrap();
-        let aware = campaign(&gen.generate(40));
-        let naive = campaign(&generate_naive(42, 40));
+        let aware = campaign(&gen.generate(40), 1);
+        let naive = campaign(&generate_naive(42, 40), 1);
         assert!(
             aware.deep_rate() > naive.deep_rate(),
             "aware {:.2} vs naive {:.2}",
@@ -461,12 +416,10 @@ mod tests {
     fn parallel_campaign_matches_sequential() {
         let mut gen = ConBugCk::new(11).unwrap();
         let configs = gen.generate(24);
-        let seq = campaign(&configs);
-        let par = campaign_parallel(&configs, 4);
+        let seq = campaign(&configs, 1);
+        let par = campaign(&configs, 4);
         assert_eq!(seq, par);
         assert_eq!(par.total, 24);
-        // the pool's single-thread path is the inline sequential run
-        assert_eq!(campaign_parallel(&configs, 1), seq);
     }
 
     #[test]
@@ -477,7 +430,7 @@ mod tests {
         let uniques = coverage(&configs).distinct_states;
         configs.extend(configs.clone());
         configs.extend(configs[..6].to_vec());
-        let seq = campaign(&configs);
+        let seq = campaign(&configs, 1);
         assert_eq!(seq.total, 18);
         assert_eq!(seq.executed, uniques);
         assert!(seq.executed < seq.total);
@@ -486,7 +439,7 @@ mod tests {
             seq.rejected_cli + seq.rejected_format + seq.rejected_mount + seq.deep,
             seq.total
         );
-        let par = campaign_parallel(&configs, 4);
+        let par = campaign(&configs, 4);
         assert_eq!(par, seq);
         // the u64 fingerprints the campaigns dedup by must partition
         // the runs exactly like the string state keys do

@@ -18,21 +18,22 @@
 //!   a bounded corpus; later rounds mutate corpus members through the
 //!   solver's boundary-derived value pools (range bounds ± 1, registry
 //!   enum members, feature toggles) instead of the legacy tables.
-//! * **Memoization**: every candidate is deduplicated by
-//!   [`GeneratedConfig::state_id`] before execution, and verdicts are
-//!   memoized in a [`VerdictStore`] keyed by the canonical state key —
-//!   a persistent store makes campaigns incremental across processes
-//!   (a warm rerun executes nothing and reproduces the cold verdicts
-//!   bit for bit).
+//! * **Memoization**: candidates already given a verdict in an earlier
+//!   round are dropped, each round's batch runs on the campaign driver
+//!   [`conpool::map_unique`] keyed by [`Harness::state_id`], and
+//!   verdicts are memoized in a [`VerdictStore`] keyed by the canonical
+//!   state key — a persistent store makes campaigns incremental across
+//!   processes (a warm rerun executes nothing and reproduces the cold
+//!   verdicts bit for bit).
 //!
-//! Execution fans out on the shared worker pool; each distinct state
-//! runs the full mkfs → mount → workload → fsck pipeline once.
+//! Each distinct state runs the full mkfs → mount → workload → fsck
+//! pipeline once, on the shared worker pool.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::time::Instant;
 
-use blockdev::{store_context, ImageDigest, VerdictStore};
+use blockdev::{fnv1a, store_context, ImageDigest, VerdictStore, FNV_OFFSET_BASIS};
 use confdep::solve::{Polarity, SolvedConfig, Solver, SolverScope};
 use confdep::{ConstraintSet, Verdict};
 use e2fstools::typed::{TypedConfig, TypedValue};
@@ -41,7 +42,6 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::conbugck::{execute, ConBugCk, GeneratedConfig, RunDepth};
-use crate::pool::parallel_map;
 
 /// Store context tag: campaign semantics version. Bump on any change to
 /// the executor or the state-key format.
@@ -106,12 +106,7 @@ impl Harness {
     /// [`GeneratedConfig::state_id`] for the ext4 harness, so existing
     /// persistent stores stay warm across the refactor.
     pub fn state_id(&self, cfg: &GeneratedConfig) -> u64 {
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &b in self.state_key(cfg).as_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(PRIME);
-        }
-        h
+        fnv1a(FNV_OFFSET_BASIS, self.state_key(cfg).as_bytes())
     }
 }
 
@@ -439,22 +434,24 @@ pub fn fuzz_campaign_with(
         };
         generated += batch.len();
 
-        // dedup against everything already given a verdict — the
-        // executor never sees the same state twice
-        let mut fresh: Vec<(u64, GeneratedConfig)> = Vec::new();
-        let mut in_batch: BTreeSet<u64> = BTreeSet::new();
-        for cfg in batch {
-            let id = harness.state_id(&cfg);
-            if !verdicts.contains_key(&id) && in_batch.insert(id) {
-                fresh.push((id, cfg));
-            }
-        }
-
-        let results = parallel_map(fresh, opts.threads, |_, (id, cfg)| {
-            let key = (ImageDigest::of_bytes(harness.state_key(&cfg).as_bytes()), ctx);
-            let depth = store.get_or_compute(key, || (harness.execute)(&cfg));
-            (id, cfg, depth)
-        });
+        // drop states an earlier round gave a verdict; the driver
+        // collapses repeats within the batch, so the executor never
+        // sees the same state twice
+        let fresh: Vec<(u64, GeneratedConfig)> = batch
+            .into_iter()
+            .map(|cfg| (harness.state_id(&cfg), cfg))
+            .filter(|(id, _)| !verdicts.contains_key(id))
+            .collect();
+        let (results, _) = conpool::map_unique(
+            fresh,
+            opts.threads,
+            |&(id, _)| Some(id),
+            |(id, cfg)| {
+                let key = (ImageDigest::of_bytes(harness.state_key(&cfg).as_bytes()), ctx);
+                let depth = store.get_or_compute(key, || (harness.execute)(&cfg));
+                (id, cfg, depth)
+            },
+        );
 
         for (id, cfg, depth) in results {
             verdicts.insert(id, depth);
@@ -512,21 +509,15 @@ pub fn fuzz_campaign_with(
 
 /// FNV-1a digest over the sorted `(state_id, verdict)` pairs.
 fn verdict_digest(verdicts: &BTreeMap<u64, RunDepth>) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for (id, depth) in verdicts {
-        for byte in id.to_le_bytes() {
-            h = (h ^ u64::from(byte)).wrapping_mul(PRIME);
-        }
+    verdicts.iter().fold(FNV_OFFSET_BASIS, |h, (id, depth)| {
         let tag = match depth {
             RunDepth::RejectedCli => 1u8,
             RunDepth::RejectedFormat => 2,
             RunDepth::RejectedMount => 3,
             RunDepth::Deep => 4,
         };
-        h = (h ^ u64::from(tag)).wrapping_mul(PRIME);
-    }
-    h
+        fnv1a(fnv1a(h, &id.to_le_bytes()), &[tag])
+    })
 }
 
 /// One solver-strategy generation round: the cached witnesses of every

@@ -12,20 +12,16 @@
 //!   generation for test suites: manipulates configurations *without*
 //!   violating the extracted dependencies, so test runs get past shallow
 //!   validation and exercise deep code under many configuration states.
-//!
-//! [`pool`] carries the shared scoped worker pool these applications
-//! (and the `crashsim` explorer) fan their independent work out on.
 
 pub mod conbugck;
 pub mod condocck;
 pub mod conhandleck;
 pub mod f2fs;
 pub mod fuzz;
-pub mod pool;
 
 pub use conbugck::{
-    campaign, campaign_parallel, coverage, execute, execute_with_policy, generate_naive, ConBugCk,
-    ConfigCampaign, CoverageStats, GeneratedConfig, RunDepth,
+    campaign, coverage, execute, execute_with_policy, generate_naive, ConBugCk, ConfigCampaign,
+    CoverageStats, GeneratedConfig, RunDepth,
 };
 pub use condocck::{ext4_kernel_doc, run_condocck, run_condocck_for, DocIssue, DocIssueKind};
 pub use conhandleck::{

@@ -82,9 +82,7 @@ impl std::hash::Hasher for FingerprintHasher {
 
     fn write(&mut self, bytes: &[u8]) {
         // not used by u64 keys (they call write_u64), but keep it sound
-        for b in bytes {
-            self.0 = (self.0 ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.0 = blockdev::fnv1a(self.0, bytes);
     }
 
     fn write_u64(&mut self, n: u64) {

@@ -2,6 +2,7 @@
 
 use std::sync::OnceLock;
 
+use blockdev::{fnv1a, FNV_OFFSET_BASIS};
 use e2fstools::typed::TypedConfig;
 use ecosys::Ecosystem;
 use serde::{Deserialize, Serialize};
@@ -169,17 +170,13 @@ impl ConfigQuery {
     /// the serving hot path: every memoized lookup starts here.
     pub fn fingerprint(&self) -> u64 {
         *self.fingerprint.get_or_init(|| {
-            let mut hash = 0xcbf2_9ce4_8422_2325u64;
+            let mut hash = FNV_OFFSET_BASIS;
             if let Some(eco) = &self.ecosystem {
-                for b in eco.bytes().chain(std::iter::once(b'#')) {
-                    hash ^= u64::from(b);
-                    hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-                }
+                hash = fnv1a(fnv1a(hash, eco.as_bytes()), b"#");
             }
             for (i, cfg) in self.configs.iter().enumerate() {
                 if i > 0 {
-                    hash ^= u64::from(b';');
-                    hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+                    hash = fnv1a(hash, b";");
                 }
                 hash = cfg.canonical_fnv1a(hash);
             }

@@ -22,13 +22,16 @@
 //! [`CowDevice`] advances write-by-write (O(W) block writes for the
 //! whole trace) and every crash point freezes a copy-on-write
 //! [`CowDevice::snapshot`] instead of replaying its prefix from
-//! scratch (O(W²) in total). Classification of the independent images
-//! fans out across a scoped worker pool ([`ExploreOptions::threads`])
-//! with a deterministic input-order merge, and verdicts are memoised by
-//! image content digest ([`ExploreOptions::verdict_cache`]): torn and
-//! reordered variants frequently collapse to byte-identical images, so
-//! the recovery stack only ever sees each distinct image once. The
-//! legacy full-replay engine survives as
+//! scratch (O(W²) in total). Every engine then resolves its crash
+//! points through one step on the campaign driver,
+//! [`conpool::map_unique`]: points are keyed by image content digest
+//! plus the applicable durability expectations
+//! ([`ExploreOptions::verdict_cache`]), so torn and reordered variants
+//! that collapse to byte-identical images reach the recovery stack
+//! once; each class representative is answered from the persistent
+//! store ([`ExploreOptions::store`]) or classified on the worker pool
+//! ([`ExploreOptions::threads`]), and the merge is in enumeration
+//! order. The legacy full-replay engine survives as
 //! [`ExploreOptions::sequential_baseline`] — the benchmark's reference
 //! point — and produces an identical report.
 
@@ -36,10 +39,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use blockdev::{
-    block_contribution, digest_device, BlockDevice, CowDevice, DeviceError, ImageDigest, IoEvent,
-    IoStats, MemDevice, StatsDevice, VerdictStore,
+    block_contribution, digest_device, fnv1a, BlockDevice, CowDevice, DeviceError, ImageDigest,
+    IoEvent, IoStats, MemDevice, StatsDevice, VerdictStore, FNV_OFFSET_BASIS,
 };
-use contools::pool::{effective_threads, parallel_map};
+use conpool::{effective_threads, map_unique};
 use e2fstools::{E2fsck, FsckMode};
 use ext4sim::{Ext4Fs, InodeNo, MountOptions};
 
@@ -172,10 +175,10 @@ pub fn explore(workload: &Workload, opts: &ExploreOptions) -> Result<CrashReport
         explore_por(workload, opts, threads, &mut stats)?
     } else if opts.incremental {
         let jobs = materialize_incremental(workload, opts, &mut stats)?;
-        classify_all(jobs, workload, opts, threads, &mut stats)
+        classify_all(jobs, workload, opts, threads, &mut stats)?
     } else {
         let jobs = materialize_replay(workload, opts, &mut stats)?;
-        classify_all(jobs, workload, opts, threads, &mut stats)
+        classify_all(jobs, workload, opts, threads, &mut stats)?
     };
     stats.crash_points = outcomes.len();
     Ok(CrashReport {
@@ -456,13 +459,6 @@ fn applicable_expectations(workload: &Workload, guaranteed: usize) -> Vec<u16> {
         .collect()
 }
 
-/// FNV-1a over raw bytes (store-key context hashing).
-fn fnv1a_bytes(h: &mut u64, bytes: &[u8]) {
-    for &byte in bytes {
-        *h = (*h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
 /// The context half of a persistent-store key: a crash image's verdict
 /// depends on the image bytes *and* on what recovery is asked to check —
 /// block size, backup-superblock candidates, and the exact contents of
@@ -470,118 +466,104 @@ fn fnv1a_bytes(h: &mut u64, bytes: &[u8]) {
 /// keeps verdicts from leaking between unrelated workloads that happen
 /// to share an image digest.
 fn store_extra(workload: &Workload, applicable: &[u16]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    fnv1a_bytes(&mut h, &workload.block_size.to_le_bytes());
+    let mut h = fnv1a(FNV_OFFSET_BASIS, &workload.block_size.to_le_bytes());
     for &b in &workload.backup_superblocks {
-        fnv1a_bytes(&mut h, &b.to_le_bytes());
+        h = fnv1a(h, &b.to_le_bytes());
     }
     for &i in applicable {
         let e = &workload.expectations[i as usize];
-        fnv1a_bytes(&mut h, e.file.as_bytes());
-        fnv1a_bytes(&mut h, &[0]);
-        fnv1a_bytes(&mut h, &e.content);
-        fnv1a_bytes(&mut h, &[0xff]);
+        h = fnv1a(h, e.file.as_bytes());
+        h = fnv1a(h, &[0]);
+        h = fnv1a(h, &e.content);
+        h = fnv1a(h, &[0xff]);
     }
     h
 }
 
-/// Folds a per-run snapshot of the persistent store's counters into the
-/// run stats (the store's own counters are cumulative per process).
-struct StoreCounters {
-    hits0: usize,
-    misses0: usize,
+/// A crash point awaiting its verdict: how it was reached, its identity
+/// (image digest plus applicable expectations; `None` when neither the
+/// digest cache nor the store needs it), and what the engine classifies
+/// it from.
+type Point<J> = (CrashKind, Option<(ImageDigest, Vec<u16>)>, J);
+
+/// Resolves crash points to outcomes on the campaign driver. With
+/// `dedup`, points sharing an identity form one class and only its
+/// first point is resolved. Each resolved point is answered from the
+/// persistent store when it holds the verdict, else `classify`d (and
+/// the fresh verdict written back). Every point then takes its class's
+/// verdict, in enumeration order.
+fn resolve<J: Send>(
+    points: Vec<Point<J>>,
+    dedup: bool,
+    workload: &Workload,
+    opts: &ExploreOptions,
+    threads: usize,
+    stats: &mut ExploreStats,
+    classify: impl Fn(CrashKind, J) -> Result<(OutcomeCore, IoStats), DeviceError> + Sync,
+) -> Result<Vec<CrashOutcome>, DeviceError> {
+    let kinds: Vec<CrashKind> = points.iter().map(|p| p.0).collect();
+    let store = opts.store.as_deref();
+    let (classes, slots) = map_unique(
+        points,
+        threads,
+        |(_, identity, _)| if dedup { identity.clone() } else { None },
+        |(kind, identity, job)| -> Result<(OutcomeCore, Option<IoStats>), DeviceError> {
+            let store = store.zip(identity).map(|(store, (digest, applicable))| {
+                (store, (digest, store_extra(workload, &applicable)))
+            });
+            if let Some(hit) = store.and_then(|(store, key)| store.lookup(key)) {
+                return Ok((hit, None));
+            }
+            let (core, io) = classify(kind, job)?;
+            if let Some((store, key)) = store {
+                store.insert(key, core.clone());
+            }
+            Ok((core, Some(io)))
+        },
+    );
+    let classes = classes.into_iter().collect::<Result<Vec<_>, _>>()?;
+    stats.cache_hits += kinds.len() - classes.len();
+    for io in classes.iter().filter_map(|&(_, io)| io) {
+        stats.images_classified += 1;
+        absorb_io(stats, io);
+    }
+    if opts.store.is_some() {
+        stats.store_hits += classes.len() - stats.images_classified;
+        stats.store_misses += stats.images_classified;
+    }
+    Ok(kinds
+        .into_iter()
+        .zip(slots)
+        .map(|(kind, slot)| classes[slot].0.clone().into_outcome(kind))
+        .collect())
 }
 
-impl StoreCounters {
-    fn before(store: Option<&Arc<VerdictStore<OutcomeCore>>>) -> Self {
-        StoreCounters {
-            hits0: store.map_or(0, |s| s.hits()),
-            misses0: store.map_or(0, |s| s.misses()),
-        }
-    }
-
-    fn settle(self, store: Option<&Arc<VerdictStore<OutcomeCore>>>, stats: &mut ExploreStats) {
-        if let Some(store) = store {
-            stats.store_hits += store.hits() - self.hits0;
-            stats.store_misses += store.misses() - self.misses0;
-        }
-    }
-}
-
-/// Classifies all materialised images: deduplicates byte-identical ones
-/// via the digest cache, answers what it can from the persistent store,
-/// fans the unique classifications out across the worker pool, and
-/// re-assembles the outcomes in enumeration order.
+/// Classifies materialised images, keyed by content digest whenever the
+/// digest cache or the persistent store needs an identity.
 fn classify_all<D: CrashImage>(
     jobs: Vec<(CrashKind, D)>,
     workload: &Workload,
     opts: &ExploreOptions,
     threads: usize,
     stats: &mut ExploreStats,
-) -> Vec<CrashOutcome> {
-    let counters = StoreCounters::before(opts.store.as_ref());
-    // map every crash point to a verdict slot; a slot is either a
-    // store-provided verdict or an image awaiting classification
-    let mut kinds: Vec<CrashKind> = Vec::with_capacity(jobs.len());
-    let mut slot_of: Vec<usize> = Vec::with_capacity(jobs.len());
-    let mut ready: Vec<Option<OutcomeCore>> = Vec::new();
-    let mut unique: Vec<(D, usize, Option<blockdev::StoreKey>)> = Vec::new();
-    let mut unique_slot: Vec<usize> = Vec::new();
-    let mut seen: HashMap<(ImageDigest, Vec<u16>), usize> = HashMap::new();
-    for (kind, mut image) in jobs {
-        let guaranteed = kind.guaranteed_writes();
-        kinds.push(kind);
-        let want_identity = opts.verdict_cache || opts.store.is_some();
-        if want_identity {
-            let digest = image.content_digest();
-            let applicable = applicable_expectations(workload, guaranteed);
-            if opts.verdict_cache {
-                if let Some(&slot) = seen.get(&(digest, applicable.clone())) {
-                    stats.cache_hits += 1;
-                    slot_of.push(slot);
-                    continue;
-                }
-                seen.insert((digest, applicable.clone()), ready.len());
-            }
-            let store_key = (digest, store_extra(workload, &applicable));
-            if let Some(hit) = opts.store.as_ref().and_then(|s| s.lookup(store_key)) {
-                slot_of.push(ready.len());
-                ready.push(Some(hit));
-                continue;
-            }
-            image.freeze_identity();
-            slot_of.push(ready.len());
-            unique_slot.push(ready.len());
-            ready.push(None);
-            unique.push((image, guaranteed, opts.store.as_ref().map(|_| store_key)));
-        } else {
-            image.freeze_identity();
-            slot_of.push(ready.len());
-            unique_slot.push(ready.len());
-            ready.push(None);
-            unique.push((image, guaranteed, None));
-        }
-    }
-    stats.images_classified = unique.len();
-
-    let cores: Vec<(OutcomeCore, Option<blockdev::StoreKey>)> =
-        parallel_map(unique, threads, |_, (image, guaranteed, store_key)| {
-            (classify_image(image, workload, guaranteed), store_key)
-        });
-    for (slot, (core, store_key)) in unique_slot.into_iter().zip(cores) {
-        if let (Some(store), Some(key)) = (opts.store.as_ref(), store_key) {
-            store.insert(key, core.clone());
-        }
-        ready[slot] = Some(core);
-    }
-    counters.settle(opts.store.as_ref(), stats);
-    kinds
+) -> Result<Vec<CrashOutcome>, DeviceError> {
+    let want_identity = opts.verdict_cache || opts.store.is_some();
+    let points = jobs
         .into_iter()
-        .zip(slot_of)
-        .map(|(kind, slot)| {
-            ready[slot].clone().expect("every verdict slot filled").into_outcome(kind)
+        .map(|(kind, image)| {
+            let identity = want_identity.then(|| {
+                (
+                    image.content_digest(),
+                    applicable_expectations(workload, kind.guaranteed_writes()),
+                )
+            });
+            (kind, identity, image)
         })
-        .collect()
+        .collect();
+    resolve(points, opts.verdict_cache, workload, opts, threads, stats, |kind, mut image| {
+        image.freeze_identity();
+        Ok((classify_image(image, workload, kind.guaranteed_writes()), IoStats::default()))
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -720,79 +702,35 @@ fn explore_por(
     threads: usize,
     stats: &mut ExploreStats,
 ) -> Result<Vec<CrashOutcome>, DeviceError> {
-    let counters = StoreCounters::before(opts.store.as_ref());
-    let plan = plan_schedules(workload, opts)?;
-    let enumerated = plan.len();
-
-    let mut kinds: Vec<CrashKind> = Vec::with_capacity(enumerated);
-    let mut slot_of: Vec<usize> = Vec::with_capacity(enumerated);
-    let mut ready: Vec<Option<OutcomeCore>> = Vec::new();
-    let mut todo: Vec<(CrashKind, ImageDigest, usize, Option<blockdev::StoreKey>)> = Vec::new();
-    let mut todo_slot: Vec<usize> = Vec::new();
-    let mut seen: HashMap<(ImageDigest, Vec<u16>), usize> = HashMap::new();
-    for (kind, digest) in plan {
-        let guaranteed = kind.guaranteed_writes();
-        kinds.push(kind);
-        let applicable = applicable_expectations(workload, guaranteed);
-        if let Some(&slot) = seen.get(&(digest, applicable.clone())) {
-            stats.cache_hits += 1;
-            slot_of.push(slot);
-            continue;
-        }
-        seen.insert((digest, applicable.clone()), ready.len());
-        let store_key = (digest, store_extra(workload, &applicable));
-        if let Some(hit) = opts.store.as_ref().and_then(|s| s.lookup(store_key)) {
-            slot_of.push(ready.len());
-            ready.push(Some(hit));
-            continue;
-        }
-        slot_of.push(ready.len());
-        todo_slot.push(ready.len());
-        ready.push(None);
-        todo.push((kind, digest, guaranteed, opts.store.as_ref().map(|_| store_key)));
-    }
-    stats.por_classes = ready.len();
-    stats.schedules_pruned = enumerated - ready.len();
-    stats.images_classified = todo.len();
-
-    // materialise and classify only the class representatives; a fully
-    // store-warm run reaches here with nothing to do and never touches
-    // the device layer at all
-    type PorResult = Result<(OutcomeCore, IoStats, Option<blockdev::StoreKey>), DeviceError>;
-    let results: Vec<PorResult> =
-        parallel_map(todo, threads, |_, (kind, digest, guaranteed, store_key)| {
-            let (prefix, straggler) = replay_recipe(workload, kind);
-            let mut dev = StatsDevice::new(workload.pre.clone());
-            workload.trace.apply_prefix(&mut dev, prefix)?;
-            if let Some((block, data)) = straggler {
-                dev.write_block(block, &data)?;
-            }
-            let io = dev.stats();
-            let image = dev.into_inner();
-            debug_assert_eq!(
-                digest_device(&image)?,
-                digest,
-                "trace-planned digest must match the materialised image ({kind:?})"
-            );
-            let _ = digest;
-            Ok((classify_image(image, workload, guaranteed), io, store_key))
-        });
-    for (slot, result) in todo_slot.into_iter().zip(results) {
-        let (core, io, store_key) = result?;
-        absorb_io(stats, io);
-        if let (Some(store), Some(key)) = (opts.store.as_ref(), store_key) {
-            store.insert(key, core.clone());
-        }
-        ready[slot] = Some(core);
-    }
-    counters.settle(opts.store.as_ref(), stats);
-    Ok(kinds
+    let points = plan_schedules(workload, opts)?
         .into_iter()
-        .zip(slot_of)
-        .map(|(kind, slot)| {
-            ready[slot].clone().expect("every POR class resolved").into_outcome(kind)
+        .map(|(kind, digest)| {
+            let applicable = applicable_expectations(workload, kind.guaranteed_writes());
+            (kind, Some((digest, applicable)), digest)
         })
-        .collect())
+        .collect();
+    // a fully store-warm run never calls `classify`, so it never
+    // touches the device layer at all
+    let outcomes = resolve(points, true, workload, opts, threads, stats, |kind, digest| {
+        let (prefix, straggler) = replay_recipe(workload, kind);
+        let mut dev = StatsDevice::new(workload.pre.clone());
+        workload.trace.apply_prefix(&mut dev, prefix)?;
+        if let Some((block, data)) = straggler {
+            dev.write_block(block, &data)?;
+        }
+        let io = dev.stats();
+        let image = dev.into_inner();
+        debug_assert_eq!(
+            digest_device(&image)?,
+            digest,
+            "trace-planned digest must match the materialised image ({kind:?})"
+        );
+        let _ = digest;
+        Ok((classify_image(image, workload, kind.guaranteed_writes()), io))
+    })?;
+    stats.schedules_pruned = stats.cache_hits;
+    stats.por_classes = outcomes.len() - stats.schedules_pruned;
+    Ok(outcomes)
 }
 
 /// Result of the read-only remount plus durable-data audit.

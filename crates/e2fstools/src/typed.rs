@@ -11,6 +11,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use blockdev::fnv1a;
 use serde::{Deserialize, Serialize};
 
 use crate::params::{ParamSpec, ParamType};
@@ -192,15 +193,6 @@ impl TypedConfig {
     #[must_use]
     #[inline]
     pub fn canonical_fnv1a(&self, hash: u64) -> u64 {
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        #[inline]
-        fn fold(mut hash: u64, bytes: &[u8]) -> u64 {
-            for b in bytes {
-                hash ^= u64::from(*b);
-                hash = hash.wrapping_mul(PRIME);
-            }
-            hash
-        }
         #[inline]
         fn fold_int(hash: u64, v: i64) -> u64 {
             // decimal render into a stack buffer; i64::MIN-safe via i128
@@ -219,30 +211,30 @@ impl TypedConfig {
                 at -= 1;
                 buf[at] = b'-';
             }
-            fold(hash, &buf[at..])
+            fnv1a(hash, &buf[at..])
         }
-        let mut hash = fold(hash, self.component.as_bytes());
-        hash = fold(hash, b"{");
+        let mut hash = fnv1a(hash, self.component.as_bytes());
+        hash = fnv1a(hash, b"{");
         for (i, (name, value)) in self.values.iter().enumerate() {
             if i > 0 {
-                hash = fold(hash, b",");
+                hash = fnv1a(hash, b",");
             }
-            hash = fold(hash, name.as_bytes());
-            hash = fold(hash, b"=");
+            hash = fnv1a(hash, name.as_bytes());
+            hash = fnv1a(hash, b"=");
             hash = match value {
-                TypedValue::Bool(b) => fold(hash, if *b { b"b:true" } else { b"b:false" }),
-                TypedValue::Int(v) => fold_int(fold(hash, b"i:"), *v),
-                TypedValue::Str(s) => fold(fold(hash, b"s:"), s.as_bytes()),
+                TypedValue::Bool(b) => fnv1a(hash, if *b { b"b:true" } else { b"b:false" }),
+                TypedValue::Int(v) => fold_int(fnv1a(hash, b"i:"), *v),
+                TypedValue::Str(s) => fnv1a(fnv1a(hash, b"s:"), s.as_bytes()),
             };
         }
-        hash = fold(hash, b"}[");
+        hash = fnv1a(hash, b"}[");
         for (i, op) in self.operands.iter().enumerate() {
             if i > 0 {
-                hash = fold(hash, b",");
+                hash = fnv1a(hash, b",");
             }
-            hash = fold(hash, op.as_bytes());
+            hash = fnv1a(hash, op.as_bytes());
         }
-        fold(hash, b"]")
+        fnv1a(hash, b"]")
     }
 
     /// Validates every value against the registry slice: the parameter

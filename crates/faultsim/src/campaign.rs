@@ -22,22 +22,28 @@
 //! 4. **Classify.** The post-fault medium is digested
 //!    ([`blockdev::ImageDigest`]); recovery — forced `e2fsck -y`, a
 //!    read-only remount, a durable-data audit — is memoised by that
-//!    digest in a [`VerdictCache`] shared across the whole campaign (and
-//!    across configurations in a conformance sweep). The runtime
-//!    observation and the recovery outcome combine into a [`Verdict`].
+//!    digest in the caller's [`VerdictStore`], shared across the whole
+//!    campaign (and across configurations in a conformance sweep; a
+//!    store opened on a file carries verdicts across processes). Every
+//!    standard workload shares one durable-file contract, so the key is
+//!    the digest alone. The runtime observation and the recovery
+//!    outcome combine into a [`Verdict`].
 //!
-//! Schedules classify concurrently via [`conpool::parallel_map`]; the
+//! Schedules run concurrently via [`conpool::parallel_map`] rather than
+//! the campaign driver [`conpool::map_unique`]: a schedule's
+//! fingerprint is its post-fault image, which exists only after the
+//! schedule ran, so repeats can only be caught at classification. The
 //! outcome list (and therefore [`CampaignReport::canonical_signature`])
 //! is byte-identical across thread counts because results merge in
-//! enumeration order and only cache *hit counts* — reported separately
+//! enumeration order and only store *hit counts* — reported separately
 //! in [`CampaignStats`] — depend on scheduling.
 
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use blockdev::{
-    digest_device, BlockDevice, FaultPlan, FaultyDevice, ImageDigest, IoEvent, MemDevice,
-    RecordingDevice, SharedDevice, VerdictStore,
+    digest_device, BlockDevice, FaultPlan, FaultyDevice, IoEvent, MemDevice, RecordingDevice,
+    SharedDevice, VerdictStore,
 };
 use e2fstools::{E2fsck, FsckMode};
 use ext4sim::{errors_policy, Ext4Fs, FsError, InodeNo, MountOptions, ROOT_INODE};
@@ -61,7 +67,8 @@ pub struct CampaignOptions {
     pub flush_points: usize,
     /// Cap on sampled corrupt-read target blocks.
     pub corrupt_points: usize,
-    /// Memoise recovery classification by post-fault image digest.
+    /// Memoise recovery classification by post-fault image digest in
+    /// [`conformance_sweep`]'s store.
     pub verdict_cache: bool,
 }
 
@@ -136,61 +143,6 @@ pub struct RecoveryOutcome {
     pub data_ok: bool,
     /// Final e2fsck exit code (-1 when fsck itself errored).
     pub fsck_exit: i32,
-}
-
-/// Digest-keyed memo of [`RecoveryOutcome`]s, shared across the threads
-/// of a campaign and across the campaigns of a conformance sweep (all
-/// standard workloads share one durable-file contract, so a repeated
-/// post-fault image always classifies identically).
-///
-/// A thin wrapper over [`blockdev::VerdictStore`] — the same
-/// content-addressed store crashsim uses — so a cache can optionally
-/// persist verdicts across processes via [`VerdictCache::persistent`].
-#[derive(Debug)]
-pub struct VerdictCache {
-    store: VerdictStore<RecoveryOutcome>,
-}
-
-impl VerdictCache {
-    /// An empty in-memory cache; `enabled = false` makes every lookup a
-    /// miss.
-    pub fn new(enabled: bool) -> Self {
-        VerdictCache { store: VerdictStore::in_memory(enabled) }
-    }
-
-    /// A cache backed by the on-disk verdict store at `path`: verdicts
-    /// recorded by earlier processes are preloaded, and fresh ones are
-    /// appended. A corrupt or unreadable store falls back to an empty
-    /// cache (see [`VerdictStore::open`]).
-    pub fn persistent(path: impl AsRef<std::path::Path>) -> Self {
-        VerdictCache { store: VerdictStore::open(path) }
-    }
-
-    /// Cache hits so far.
-    pub fn hits(&self) -> usize {
-        self.store.hits()
-    }
-
-    /// Cache misses (computed classifications) so far.
-    pub fn misses(&self) -> usize {
-        self.store.misses()
-    }
-
-    /// Verdicts preloaded from disk (0 for in-memory caches).
-    pub fn preloaded(&self) -> usize {
-        self.store.preloaded()
-    }
-
-    fn recovery_for(
-        &self,
-        digest: ImageDigest,
-        compute: impl FnOnce() -> RecoveryOutcome,
-    ) -> RecoveryOutcome {
-        // faultsim keys by the post-fault image alone: every standard
-        // workload shares one durable-file contract, so the context
-        // half of the store key is constant.
-        self.store.get_or_compute((digest, 0), compute)
-    }
 }
 
 /// Evenly samples up to `cap` of the points `0..n`, always keeping the
@@ -479,7 +431,7 @@ fn run_one(
     workload: &FaultWorkload,
     base: &MemDevice,
     spec: &FaultSpec,
-    cache: &VerdictCache,
+    store: &VerdictStore<RecoveryOutcome>,
 ) -> FaultOutcome {
     let medium = SharedDevice::new(base.clone());
     let plan = FaultPlan::new().with(spec.to_fault());
@@ -498,14 +450,15 @@ fn run_one(
     let digest = medium
         .with_read(digest_device)
         .expect("in-memory digest cannot fail");
-    let rec = cache
-        .recovery_for(digest, || classify_recovery(snapshot(&medium), &workload.durable_files));
+    let rec = store.get_or_compute((digest, 0), || {
+        classify_recovery(snapshot(&medium), &workload.durable_files)
+    });
     let (verdict, detail) = combine(spec, &obs, &rec, workload.config.errors);
     FaultOutcome { fault: spec.clone(), verdict, detail }
 }
 
 /// Runs a full campaign: probe, enumerate, re-execute every schedule
-/// (in parallel), classify, and aggregate.
+/// (in parallel), classify through `store`, and aggregate.
 ///
 /// # Errors
 ///
@@ -514,23 +467,23 @@ fn run_one(
 pub fn run_campaign(
     workload: &FaultWorkload,
     opts: &CampaignOptions,
-    cache: &VerdictCache,
+    store: &VerdictStore<RecoveryOutcome>,
 ) -> Result<CampaignReport, FsError> {
     let base = workload.setup()?;
     let universe = probe_universe(workload, &base)?;
     let specs = enumerate_schedules(&universe, opts);
-    let hits_before = cache.hits();
-    let misses_before = cache.misses();
+    let hits_before = store.hits();
+    let misses_before = store.misses();
     let outcomes = conpool::parallel_map(specs, opts.threads, |_, spec| {
-        run_one(workload, &base, &spec, cache)
+        run_one(workload, &base, &spec, store)
     });
     let stats = CampaignStats {
         trace_writes: universe.writes as usize,
         trace_reads: universe.reads as usize,
         trace_flushes: universe.flushes as usize,
         faults_explored: outcomes.len(),
-        digest_cache_hits: cache.hits() - hits_before,
-        digest_cache_misses: cache.misses() - misses_before,
+        digest_cache_hits: store.hits() - hits_before,
+        digest_cache_misses: store.misses() - misses_before,
     };
     Ok(CampaignReport {
         workload: workload.name.clone(),
@@ -542,8 +495,9 @@ pub fn run_campaign(
 
 /// Runs the standard workload over the full configuration grid (3
 /// `errors=` policies × journal on/off × write-back/write-through) and
-/// reduces each campaign to a conformance row. One [`VerdictCache`] is
-/// shared across the sweep.
+/// reduces each campaign to a conformance row. One in-memory
+/// [`VerdictStore`] (disabled unless [`CampaignOptions::verdict_cache`])
+/// is shared across the sweep.
 ///
 /// # Errors
 ///
@@ -551,12 +505,12 @@ pub fn run_campaign(
 pub fn conformance_sweep(
     opts: &CampaignOptions,
 ) -> Result<(Vec<ConformanceRow>, Vec<CampaignReport>), FsError> {
-    let cache = VerdictCache::new(opts.verdict_cache);
+    let store = VerdictStore::in_memory(opts.verdict_cache);
     let mut rows = Vec::new();
     let mut reports = Vec::new();
     for config in CampaignConfig::full_grid() {
         let workload = FaultWorkload::standard(config.clone());
-        let report = run_campaign(&workload, opts, &cache)?;
+        let report = run_campaign(&workload, opts, &store)?;
         rows.push(conformance_row(&report));
         reports.push(report);
     }
@@ -587,25 +541,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn persistent_cache_round_trips_recovery_outcomes() {
-        let path = std::env::temp_dir()
-            .join(format!("faultsim_vcache_{}.vstore", std::process::id()));
+    fn persistent_store_warms_a_rerun_campaign() {
+        let path =
+            std::env::temp_dir().join(format!("faultsim_campaign_{}.vstore", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        let digest = ImageDigest { a: 11, b: 22 };
-        let outcome =
-            RecoveryOutcome { panicked: false, mountable: true, data_ok: true, fsck_exit: 1 };
-        {
-            let cache = VerdictCache::persistent(&path);
-            assert_eq!(cache.preloaded(), 0);
-            let got = cache.recovery_for(digest, || outcome);
-            assert_eq!(got, outcome);
-            assert_eq!(cache.misses(), 1);
-        }
-        let cache = VerdictCache::persistent(&path);
-        assert_eq!(cache.preloaded(), 1);
-        let got = cache.recovery_for(digest, || panic!("must hit the preloaded verdict"));
-        assert_eq!(got, outcome);
-        assert_eq!(cache.hits(), 1);
+        let w = FaultWorkload::standard(CampaignConfig::default());
+        // one worker, so no two threads classify the same image at once
+        // and every miss is one appended verdict
+        let opts = CampaignOptions { threads: 1, ..CampaignOptions::smoke() };
+        let cold = run_campaign(&w, &opts, &VerdictStore::open(&path)).unwrap();
+        assert!(cold.stats.digest_cache_misses > 0);
+        // a fresh process: every recovery verdict comes back from disk
+        let store = VerdictStore::open(&path);
+        assert_eq!(store.preloaded(), cold.stats.digest_cache_misses);
+        let warm = run_campaign(&w, &opts, &store).unwrap();
+        assert_eq!(warm.stats.digest_cache_misses, 0, "warm rerun re-classified an image");
+        assert_eq!(warm.canonical_signature(), cold.canonical_signature());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -659,8 +610,8 @@ mod tests {
     #[test]
     fn campaign_classifies_every_schedule_without_panics() {
         let w = FaultWorkload::standard(CampaignConfig::default());
-        let cache = VerdictCache::new(true);
-        let report = run_campaign(&w, &CampaignOptions::smoke(), &cache).unwrap();
+        let store = VerdictStore::in_memory(true);
+        let report = run_campaign(&w, &CampaignOptions::smoke(), &store).unwrap();
         assert!(report.stats.faults_explored > 0);
         assert_eq!(report.outcomes.len(), report.stats.faults_explored);
         let counts = report.counts();
@@ -675,8 +626,8 @@ mod tests {
             ..CampaignConfig::default()
         };
         let w = FaultWorkload::standard(config);
-        let cache = VerdictCache::new(true);
-        let report = run_campaign(&w, &CampaignOptions::smoke(), &cache).unwrap();
+        let store = VerdictStore::in_memory(true);
+        let report = run_campaign(&w, &CampaignOptions::smoke(), &store).unwrap();
         let counts = report.counts();
         assert_eq!(counts.policy_violation, 0, "{:?}", report);
         assert_eq!(counts.panic, 0);
@@ -692,22 +643,22 @@ mod tests {
         let w = FaultWorkload::standard(CampaignConfig::default());
         let mut opts = CampaignOptions::smoke();
         opts.threads = 1;
-        let r1 = run_campaign(&w, &opts, &VerdictCache::new(true)).unwrap();
+        let r1 = run_campaign(&w, &opts, &VerdictStore::in_memory(true)).unwrap();
         opts.threads = 4;
-        let r4 = run_campaign(&w, &opts, &VerdictCache::new(true)).unwrap();
+        let r4 = run_campaign(&w, &opts, &VerdictStore::in_memory(true)).unwrap();
         assert_eq!(r1.canonical_signature(), r4.canonical_signature());
     }
 
     #[test]
     fn verdict_cache_hits_on_repeated_images() {
         let w = FaultWorkload::standard(CampaignConfig::default());
-        let cache = VerdictCache::new(true);
-        let _ = run_campaign(&w, &CampaignOptions::smoke(), &cache).unwrap();
+        let store = VerdictStore::in_memory(true);
+        let _ = run_campaign(&w, &CampaignOptions::smoke(), &store).unwrap();
         // running the identical campaign again must answer everything
-        // from the digest cache
-        let before = cache.misses();
-        let _ = run_campaign(&w, &CampaignOptions::smoke(), &cache).unwrap();
-        assert_eq!(cache.misses(), before, "second identical run re-classified images");
-        assert!(cache.hits() > 0);
+        // from the digest store
+        let before = store.misses();
+        let _ = run_campaign(&w, &CampaignOptions::smoke(), &store).unwrap();
+        assert_eq!(store.misses(), before, "second identical run re-classified images");
+        assert!(store.hits() > 0);
     }
 }

@@ -21,8 +21,9 @@
 //!    a [`blockdev::FaultyDevice`] (in parallel via
 //!    [`conpool::parallel_map`]), observes the runtime reaction, then
 //!    pushes the post-fault image through forced fsck + remount +
-//!    durable-data audit, memoised by image digest in a
-//!    [`VerdictCache`].
+//!    durable-data audit, memoised by image digest in the caller's
+//!    [`blockdev::VerdictStore`] (in memory, or on disk so verdicts
+//!    carry across processes).
 //! 4. Every schedule gets a [`Verdict`]; [`conformance_sweep`] reduces
 //!    the full 3 × 2 × 2 configuration grid to a [`ConformanceRow`]
 //!    table answering "was the policy honoured?" per configuration.
@@ -40,7 +41,7 @@ mod workload;
 
 pub use campaign::{
     conformance_row, conformance_sweep, enumerate_schedules, probe_universe, run_campaign,
-    sample_points, CampaignOptions, IoUniverse, RecoveryOutcome, VerdictCache,
+    sample_points, CampaignOptions, IoUniverse, RecoveryOutcome,
 };
 pub use report::{
     format_conformance_table, CampaignReport, CampaignStats, ConformanceRow, FaultOutcome,

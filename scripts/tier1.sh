@@ -9,9 +9,11 @@
 # cache policies) agreed — plus a second-ecosystem (F2FS) smoke with a
 # cross-FS agreement check, a grep lint holding the line on
 # unwrap/expect in ext4sim runtime code, a grep lint keeping the
-# checker layers ecosystem-agnostic, and a grep lint keeping the
+# checker layers ecosystem-agnostic, a grep lint keeping the
 # constraint evaluator single (relation and data-type strings are
-# decoded only where confdep lowers a dependency into its predicate).
+# decoded only where confdep lowers a dependency into its predicate),
+# and a grep lint keeping FNV-1a single (its constants live only in
+# blockdev's digest module).
 # The root manifest's default-members make `cargo test` cover every
 # crate; the gate fails if the executed test count drops below the
 # floor.
@@ -25,7 +27,7 @@ cargo test -q 2>&1 | tee target/tier1_tests.log
 python3 - <<'EOF'
 import re
 
-floor = 806
+floor = 817
 with open("target/tier1_tests.log") as f:
     passed = sum(int(n) for n in re.findall(r"test result: ok\. (\d+) passed", f.read()))
 assert passed >= floor, (
@@ -422,4 +424,37 @@ assert not failures, (
     "lowering (read Constraint::predicate instead):\n" + "\n".join(failures)
 )
 print("single-evaluator lint OK")
+EOF
+
+# Grep lint: one FNV-1a. Image digests, store checksums, state
+# fingerprints and cache keys all hash through blockdev::fnv1a, so the
+# 64-bit FNV offset basis and prime may appear in non-test code only in
+# crates/blockdev/src/digest.rs.
+python3 - <<'EOF'
+import glob
+import re
+
+constants = {"cbf29ce484222325": "offset basis", "100000001b3": "prime"}
+allowed = "crates/blockdev/src/digest.rs"
+
+failures = []
+paths = glob.glob("crates/*/src/**/*.rs", recursive=True) + glob.glob("src/**/*.rs", recursive=True)
+for path in sorted(paths):
+    if path == allowed:
+        continue
+    with open(path) as f:
+        src = f.read()
+    cut = src.find("#[cfg(test)]")
+    for line in (src if cut < 0 else src[:cut]).splitlines():
+        if line.strip().startswith("//"):
+            continue
+        for lit in re.findall(r"0x[0-9a-fA-F_]+", line):
+            digits = lit[2:].replace("_", "").lower().lstrip("0")
+            if digits in constants:
+                failures.append(f"{path}: FNV {constants[digits]}: {line.strip()}")
+assert not failures, (
+    "FNV-1a constants outside blockdev's digest module "
+    "(call blockdev::fnv1a instead):\n" + "\n".join(failures)
+)
+print("single-FNV lint OK")
 EOF

@@ -23,7 +23,7 @@ use confdep_suite::blockdev::MemDevice;
 use confdep_suite::confdep::{
     extract_scenario_full, DependencyReport, Evaluation, ExtractOptions, Solver,
 };
-use confdep_suite::contools::conbugck::{campaign_parallel, generate_naive, ConBugCk};
+use confdep_suite::contools::conbugck::{campaign, generate_naive, ConBugCk};
 use confdep_suite::contools::fuzz::{
     fuzz_campaign_with, FuzzOptions, FuzzReport, Harness, PolarityCoverage, Strategy,
 };
@@ -359,8 +359,8 @@ fn main() -> ExitCode {
             let solver = Solver::new(&set);
             let aware_cfgs = gen.generate(count);
             let naive_cfgs = generate_naive(seed, count);
-            let aware = campaign_parallel(&aware_cfgs, threads);
-            let naive = campaign_parallel(&naive_cfgs, threads);
+            let aware = campaign(&aware_cfgs, threads);
+            let naive = campaign(&naive_cfgs, threads);
             let arm = |cfgs: &[confdep_suite::contools::GeneratedConfig],
                        campaign: &confdep_suite::contools::ConfigCampaign| {
                 let mut cov = PolarityCoverage::new(&solver);

@@ -10,10 +10,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use proptest::prelude::*;
 
+use confdep_suite::blockdev::VerdictStore;
 use confdep_suite::ext4sim::errors_policy;
 use confdep_suite::faultsim::{
     run_campaign, CampaignConfig, CampaignOptions, CampaignReport, FaultWorkload, Verdict,
-    VerdictCache,
 };
 
 fn any_config() -> impl Strategy<Value = CampaignConfig> {
@@ -62,8 +62,8 @@ fn campaign_guarded(
     workload: &FaultWorkload,
     opts: &CampaignOptions,
 ) -> Result<CampaignReport, String> {
-    let cache = VerdictCache::new(opts.verdict_cache);
-    catch_unwind(AssertUnwindSafe(|| run_campaign(workload, opts, &cache)))
+    let store = VerdictStore::in_memory(opts.verdict_cache);
+    catch_unwind(AssertUnwindSafe(|| run_campaign(workload, opts, &store)))
         .map_err(|_| format!("campaign engine panicked for {}", workload.name))?
         .map_err(|e| format!("probe pass failed for {}: {e}", workload.name))
 }
@@ -158,10 +158,10 @@ fn full_grid_smoke_is_clean() {
         corrupt_points: 1,
         verdict_cache: true,
     };
-    let cache = VerdictCache::new(true);
+    let store = VerdictStore::in_memory(true);
     for config in CampaignConfig::full_grid() {
         let workload = FaultWorkload::standard(config);
-        let report = run_campaign(&workload, &opts, &cache).expect("probe pass");
+        let report = run_campaign(&workload, &opts, &store).expect("probe pass");
         let counts = report.counts();
         assert_eq!(counts.panic, 0, "{}: {:?}", workload.name, report.outcomes);
         assert_eq!(
@@ -171,6 +171,6 @@ fn full_grid_smoke_is_clean() {
         );
         assert_eq!(report.outcomes.len(), report.stats.faults_explored);
     }
-    // the shared digest cache must earn its keep across the sweep
-    assert!(cache.hits() > 0, "no digest-cache hits across the grid");
+    // the shared digest store must earn its keep across the sweep
+    assert!(store.hits() > 0, "no digest-cache hits across the grid");
 }
