@@ -27,6 +27,8 @@
 //! way; the coverage-guided fuzz campaign in `contools` seeds each
 //! round from the still-uncovered part of it.
 
+use std::sync::OnceLock;
+
 use e2fstools::params::{all_params, ParamSpec, ParamType};
 use e2fstools::typed::{TypedConfig, TypedValue};
 use serde::{Deserialize, Serialize};
@@ -103,7 +105,11 @@ const MKFS_KEYED: [(&str, &str, &str); 2] =
 /// verification. [`SolverScope::ext4`] reproduces the original
 /// hard-coded `mke2fs`/`mount` surface exactly; other ecosystems
 /// construct their own scope (see the `ecosys` crate).
-#[derive(Debug, Clone)]
+///
+/// A scope is a handful of `'static` references and function pointers,
+/// so it is `Copy`: building one never allocates, and the registry it
+/// points at is built once per process.
+#[derive(Debug, Clone, Copy)]
 pub struct SolverScope {
     /// The component whose parameters render as create-tool arguments.
     pub create_component: &'static str,
@@ -124,8 +130,10 @@ pub struct SolverScope {
     pub base_create_bools: &'static [&'static str],
     /// Mount-side enums the base skeleton pins to their first member.
     pub base_mount_enums: &'static [&'static str],
-    /// The `ParamSpec` registry restricted to the two components.
-    pub registry: Vec<ParamSpec>,
+    /// The `ParamSpec` registry restricted to the two components,
+    /// built once per process (its order is the order the solver
+    /// searches value domains in, so witnesses depend on it).
+    pub registry: &'static [ParamSpec],
     /// Lenient view re-parsing the rendered create arguments.
     pub parse_create: fn(&[String]) -> TypedConfig,
     /// Lenient view re-parsing the rendered mount option string.
@@ -136,6 +144,7 @@ impl SolverScope {
     /// The original Ext4 scope: `mke2fs` + `mount`, the e2fstools
     /// registry, and the e2fstools lenient views.
     pub fn ext4() -> Self {
+        static REGISTRY: OnceLock<Vec<ParamSpec>> = OnceLock::new();
         SolverScope {
             create_component: "mke2fs",
             mount_component: "mount",
@@ -146,10 +155,12 @@ impl SolverScope {
             base_create_ints: &["blocksize", "reserved_percent"],
             base_create_bools: &["extent", "sparse_super", "resize_inode"],
             base_mount_enums: &["data"],
-            registry: all_params()
-                .into_iter()
-                .filter(|p| p.component == "mke2fs" || p.component == "mount")
-                .collect(),
+            registry: REGISTRY.get_or_init(|| {
+                all_params()
+                    .into_iter()
+                    .filter(|p| p.component == "mke2fs" || p.component == "mount")
+                    .collect()
+            }),
             parse_create: TypedConfig::from_mkfs_args_lenient,
             parse_mount: TypedConfig::from_mount_opts_lenient,
         }
@@ -964,6 +975,19 @@ mod tests {
             assert_eq!(ds, ss);
             assert_eq!(ds.render(), ss.render_with(scoped.scope()));
         }
+    }
+
+    #[test]
+    fn ext4_scope_registry_is_built_once_in_registry_order() {
+        // every scope shares one registry; witnesses depend on its
+        // order, which must stay the filtered all_params() order
+        let (a, b) = (SolverScope::ext4(), SolverScope::ext4());
+        assert!(std::ptr::eq(a.registry, b.registry));
+        let want: Vec<ParamSpec> = all_params()
+            .into_iter()
+            .filter(|p| p.component == "mke2fs" || p.component == "mount")
+            .collect();
+        assert_eq!(a.registry, &want[..]);
     }
 
     #[test]

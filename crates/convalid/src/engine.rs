@@ -199,8 +199,9 @@ impl ValidationEngine {
     fn validate_uncounted(&self, query: &ConfigQuery) -> ValidationOutcome {
         if let Some(memo) = &self.memo {
             // hot path: stream the FNV fingerprint without rendering the
-            // canonical-state string; the memo compares stored queries
-            // structurally, so no allocation happens on a hit
+            // canonical-state string; the memo streams the query's exact
+            // key against the stored bytes, so no allocation happens on
+            // a hit
             let fingerprint = query.fingerprint();
             if let Some(verdicts) = memo.lookup(fingerprint, query) {
                 return ValidationOutcome { verdicts, evaluated: 0, memo_hit: true };
@@ -404,6 +405,25 @@ mod tests {
         assert_eq!(stats.queries, 2);
         assert_eq!(stats.memo.unwrap().hits, 1);
         assert!(stats.evaluated_per_query() < 64.0);
+    }
+
+    #[test]
+    fn canonical_key_collision_misses_and_matches_direct_evaluation() {
+        // same state key and fingerprint, different queries: the second
+        // must be evaluated, not served the first one's verdicts
+        let eco = ecosys::ext4();
+        let plan = Arc::new(ValidationPlan::compile_for(eco.constraints().unwrap(), eco));
+        let engine = ValidationEngine::new(plan, EngineOptions::serving());
+        let a = ConfigQuery::parse_line_for(&eco, "-L x,uuid=s:y | ro").unwrap();
+        let b = ConfigQuery::parse_line_for(&eco, "-L x -U y | ro").unwrap();
+        assert_eq!(a.fingerprint(), b.fingerprint());
+        assert!(!engine.validate(&a).memo_hit);
+        let outcome = engine.validate(&b);
+        assert!(!outcome.memo_hit, "colliding query was served from the memo");
+        let views = b.views();
+        let direct: Vec<Verdict> =
+            engine.plan().constraints().constraints().iter().map(|c| c.evaluate(&views)).collect();
+        assert_eq!(&outcome.verdicts[..], &direct[..]);
     }
 
     #[test]

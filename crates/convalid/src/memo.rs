@@ -3,13 +3,15 @@
 //! Whole verdict vectors are cached under the query's canonical-state
 //! FNV fingerprint. The map is striped across N independently-locked
 //! shards (shard = fingerprint mod N) so concurrent readers rarely
-//! contend; each shard evicts FIFO at its capacity. Entries store the
-//! full query next to the fingerprint and compare it structurally on
-//! every hit — cheaper than rendering the canonical-state string on
-//! the hot path, and strictly finer-grained (two queries with equal
-//! canonical keys have equal configs), so a 64-bit collision degrades
-//! to a miss instead of a wrong answer and the memoized path stays
-//! semantically exact.
+//! contend; each shard evicts FIFO at its capacity. The fingerprint
+//! only picks the slot: it inherits the canonical state key's
+//! collisions (a string value may spell the key's own separators), so
+//! each entry also stores the query's exact [`ConfigQuery::memo_key`]
+//! — an injective, length-prefixed byte encoding, a few hundred bytes
+//! where a cloned query is kilobytes. A hit streams the query's
+//! encoding against those bytes without allocating; any difference,
+//! a 64-bit collision included, degrades to a miss instead of a wrong
+//! answer, so the memoized path stays semantically exact.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -63,9 +65,10 @@ impl MemoStats {
 }
 
 struct Entry {
-    /// The exact query, compared structurally on every hit so a
-    /// fingerprint collision can never serve the wrong verdicts.
-    query: ConfigQuery,
+    /// The query's exact [`ConfigQuery::memo_key`], matched on every
+    /// hit so a fingerprint collision can never serve the wrong
+    /// verdicts.
+    key: Box<[u8]>,
     verdicts: Arc<[Verdict]>,
 }
 
@@ -136,11 +139,11 @@ impl ShardedMemo {
 
     /// The cached verdicts for a state, if present. `query` is the
     /// state behind `fingerprint`; a fingerprint match whose stored
-    /// query differs counts as a miss.
+    /// key is not `query`'s counts as a miss.
     pub fn lookup(&self, fingerprint: u64, query: &ConfigQuery) -> Option<Arc<[Verdict]>> {
         let mut shard = self.shard(fingerprint).lock();
         match shard.map.get(&fingerprint) {
-            Some(entry) if entry.query == *query => {
+            Some(entry) if query.matches_key(&entry.key) => {
                 let verdicts = Arc::clone(&entry.verdicts);
                 shard.hits += 1;
                 Some(verdicts)
@@ -155,8 +158,9 @@ impl ShardedMemo {
     /// Caches the verdicts for a state, evicting the shard's oldest
     /// entry when it is full.
     pub fn insert(&self, fingerprint: u64, query: &ConfigQuery, verdicts: Arc<[Verdict]>) {
+        let key = query.memo_key();
         let mut shard = self.shard(fingerprint).lock();
-        if shard.map.insert(fingerprint, Entry { query: query.clone(), verdicts }).is_none() {
+        if shard.map.insert(fingerprint, Entry { key, verdicts }).is_none() {
             shard.order.push_back(fingerprint);
             if shard.order.len() > self.per_shard_capacity {
                 if let Some(oldest) = shard.order.pop_front() {
@@ -212,6 +216,24 @@ mod tests {
         let stats = memo.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 2, 1));
         assert!(stats.hit_rate() > 0.3 && stats.hit_rate() < 0.4);
+    }
+
+    #[test]
+    fn canonical_key_collision_is_a_miss() {
+        // a label that spells the state key's own separators renders
+        // the same state key, and so the same fingerprint, as a real
+        // label + uuid pair; the exact key must still tell them apart
+        let eco = ecosys::ext4();
+        let a = ConfigQuery::parse_line_for(&eco, "-L x,uuid=s:y | ro").unwrap();
+        let b = ConfigQuery::parse_line_for(&eco, "-L x -U y | ro").unwrap();
+        assert_ne!(a, b);
+        assert_eq!(a.state_key(), "ext4#mke2fs{label=s:x,uuid=s:y}[];mount{ro=b:true}[]");
+        assert_eq!(a.state_key(), b.state_key());
+        assert_eq!(a.fingerprint(), b.fingerprint());
+        let memo = ShardedMemo::new(MemoOptions { shards: 4, capacity: 16 });
+        memo.insert(a.fingerprint(), &a, verdicts(1));
+        assert!(memo.lookup(b.fingerprint(), &b).is_none());
+        assert!(memo.lookup(a.fingerprint(), &a).is_some());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::sync::OnceLock;
 
 use blockdev::{fnv1a, FNV_OFFSET_BASIS};
-use e2fstools::typed::TypedConfig;
+use e2fstools::typed::{TypedConfig, TypedValue};
 use ecosys::Ecosystem;
 use serde::{Deserialize, Serialize};
 
@@ -35,9 +35,9 @@ pub struct ConfigQuery {
     ecosystem: Option<String>,
     /// Lazily-computed, clone-carried FNV fingerprint. May go stale if
     /// `configs` is mutated after the first [`ConfigQuery::fingerprint`]
-    /// call — safe regardless, because the memo compares stored queries
-    /// structurally on every hit — but rebuild the query to keep the
-    /// memo effective.
+    /// call — safe regardless, because the memo checks the exact
+    /// [`ConfigQuery::memo_key`] on every hit — but rebuild the query
+    /// to keep the memo effective.
     fingerprint: OnceLock<u64>,
 }
 
@@ -111,7 +111,9 @@ impl ConfigQuery {
     /// create arguments and mount options are lowered through the
     /// ecosystem's own lenient views (the same parsers its solver scope
     /// re-keys rendered states with), and the query is tagged with the
-    /// ecosystem's name.
+    /// ecosystem's name. Reading the two parsers off the solver scope
+    /// costs nothing per line: the scope is `Copy` and its parameter
+    /// registry is built once per process.
     pub fn from_cli_for(eco: &Ecosystem, create_args: &[String], mount_opts: &str) -> Self {
         let scope = eco.solver_scope();
         ConfigQuery::tagged(
@@ -168,6 +170,12 @@ impl ConfigQuery {
     /// — no string rendering, no `fmt` machinery — and computed at most
     /// once per query lineage (the cache travels with clones). This is
     /// the serving hot path: every memoized lookup starts here.
+    ///
+    /// The fingerprint only picks the memo slot. It inherits every
+    /// collision of the state key, which is not injective: a string
+    /// value may contain the key's own separators, so `-L x,uuid=s:y`
+    /// and `-L x -U y` share `mke2fs{label=s:x,uuid=s:y}`. The memo
+    /// decides a hit on [`ConfigQuery::memo_key`] instead.
     pub fn fingerprint(&self) -> u64 {
         *self.fingerprint.get_or_init(|| {
             let mut hash = FNV_OFFSET_BASIS;
@@ -183,6 +191,111 @@ impl ConfigQuery {
             hash
         })
     }
+
+    /// The exact memo key: an injective, length-prefixed byte encoding
+    /// of the query — the ecosystem tag, then per config its component,
+    /// each `(name, typed value)` pair and its operands. Two queries
+    /// have equal keys exactly when they are equal, and the key is a
+    /// few hundred bytes where a cloned query is kilobytes of maps and
+    /// strings.
+    pub fn memo_key(&self) -> Box<[u8]> {
+        let mut key = Vec::new();
+        self.encode_key(&mut key);
+        key.into_boxed_slice()
+    }
+
+    /// Whether `key` is this query's [`ConfigQuery::memo_key`], decided
+    /// by streaming the encoding against the stored bytes — a memo hit
+    /// allocates nothing. A key that is only a prefix of (or extends)
+    /// the encoding does not match.
+    pub fn matches_key(&self, key: &[u8]) -> bool {
+        let mut cursor = KeyCursor { rest: key, equal: true };
+        self.encode_key(&mut cursor);
+        cursor.equal && cursor.rest.is_empty()
+    }
+
+    /// The one key encoder both [`ConfigQuery::memo_key`] and
+    /// [`ConfigQuery::matches_key`] run. Every variable-length field is
+    /// length-prefixed and every variant tagged, so the concatenation
+    /// decodes one way only.
+    fn encode_key(&self, sink: &mut impl KeySink) {
+        match &self.ecosystem {
+            None => sink.put(&[0]),
+            Some(eco) => {
+                sink.put(&[1]);
+                put_str(sink, eco);
+            }
+        }
+        put_len(sink, self.configs.len());
+        for cfg in &self.configs {
+            put_str(sink, &cfg.component);
+            put_len(sink, cfg.values.len());
+            for (name, value) in &cfg.values {
+                put_str(sink, name);
+                match value {
+                    TypedValue::Bool(b) => sink.put(&[u8::from(*b)]),
+                    TypedValue::Int(i) => {
+                        sink.put(&[2]);
+                        sink.put(&i.to_le_bytes());
+                    }
+                    TypedValue::Str(v) => {
+                        sink.put(&[3]);
+                        put_str(sink, v);
+                    }
+                }
+            }
+            put_len(sink, cfg.operands.len());
+            for op in &cfg.operands {
+                put_str(sink, op);
+            }
+        }
+    }
+}
+
+/// Where [`ConfigQuery::encode_key`] writes its bytes.
+trait KeySink {
+    fn put(&mut self, bytes: &[u8]);
+}
+
+/// Builds the key (memo insert).
+impl KeySink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+/// Compares the streamed encoding against stored key bytes (memo
+/// lookup): `equal` clears at the first differing byte, and `rest` is
+/// what the stream has not yet consumed.
+struct KeyCursor<'a> {
+    rest: &'a [u8],
+    equal: bool,
+}
+
+impl KeySink for KeyCursor<'_> {
+    fn put(&mut self, bytes: &[u8]) {
+        if !self.equal {
+            return;
+        }
+        match self.rest.strip_prefix(bytes) {
+            Some(rest) => self.rest = rest,
+            None => self.equal = false,
+        }
+    }
+}
+
+/// A length as an LEB128 varint: one byte below 128.
+fn put_len(sink: &mut impl KeySink, mut n: usize) {
+    while n >= 0x80 {
+        sink.put(&[(n as u8) | 0x80]);
+        n >>= 7;
+    }
+    sink.put(&[n as u8]);
+}
+
+fn put_str(sink: &mut impl KeySink, s: &str) {
+    put_len(sink, s.len());
+    sink.put(s.as_bytes());
 }
 
 /// Splits one batch line into `(create argv, mount half)`; `None` for

@@ -17,6 +17,7 @@
 //! analog of the paper's CCDs.
 
 use std::collections::BTreeSet;
+use std::sync::OnceLock;
 
 use confdep::model::DepDetail;
 use confdep::{
@@ -143,7 +144,8 @@ impl Ecosystem {
     }
 
     /// The solver scope generating create + mount configurations for
-    /// this ecosystem.
+    /// this ecosystem. Cheap: the scope is `Copy` and its registry is
+    /// built once per process, so per-line callers may ask every time.
     pub fn solver_scope(&self) -> SolverScope {
         (self.solver_scope)()
     }
@@ -216,6 +218,7 @@ const MKFS_F2FS_VALUED: [(&str, &str); 8] = [
 ];
 
 fn f2fs_solver_scope() -> SolverScope {
+    static REGISTRY: OnceLock<Vec<ParamSpec>> = OnceLock::new();
     SolverScope {
         create_component: "mkfs_f2fs",
         mount_component: "f2fs",
@@ -228,11 +231,11 @@ fn f2fs_solver_scope() -> SolverScope {
         base_create_ints: &["sectors"],
         base_create_bools: &["extra_attr"],
         base_mount_enums: &["background_gc"],
-        registry: {
+        registry: REGISTRY.get_or_init(|| {
             let mut specs = f2fstools::mkfs::param_table();
             specs.extend(f2fstools::mount::param_table());
             specs
-        },
+        }),
         parse_create: f2fstools::typed::from_mkfs_f2fs_args_lenient,
         parse_mount: f2fstools::typed::from_f2fs_mount_opts_lenient,
     }
@@ -497,6 +500,24 @@ mod tests {
                 "target {i} {polarity} unrenderable"
             );
         }
+    }
+
+    #[test]
+    fn solver_scope_registries_are_built_once_in_registry_order() {
+        // per-line callers ask for the scope every time: it must hand
+        // out one shared registry, in the order witnesses depend on
+        for eco in all() {
+            let (a, b) = (eco.solver_scope(), eco.solver_scope());
+            assert!(std::ptr::eq(a.registry, b.registry), "{} rebuilt its registry", eco.name);
+        }
+        let ext4_want: Vec<ParamSpec> = e2fstools::params::all_params()
+            .into_iter()
+            .filter(|p| p.component == "mke2fs" || p.component == "mount")
+            .collect();
+        assert_eq!(ext4().solver_scope().registry, &ext4_want[..]);
+        let mut f2fs_want = f2fstools::mkfs::param_table();
+        f2fs_want.extend(f2fstools::mount::param_table());
+        assert_eq!(f2fs().solver_scope().registry, &f2fs_want[..]);
     }
 
     #[test]

@@ -17,6 +17,7 @@ use confdep_suite::convalid::{
     ConfigQuery, EngineOptions, ValidationEngine, ValidationPlan,
 };
 use confdep_suite::e2fstools::typed::{TypedConfig, TypedValue};
+use confdep_suite::ecosys::{self, Ecosystem};
 
 fn plan() -> &'static Arc<ValidationPlan> {
     static PLAN: OnceLock<Arc<ValidationPlan>> = OnceLock::new();
@@ -136,6 +137,66 @@ fn query_strategy() -> impl Strategy<Value = ConfigQuery> {
     )
 }
 
+/// One serving engine per ecosystem (ext4, then F2FS) over its own
+/// plan, for tagged batch lines; shared across cases like [`engines`].
+fn eco_engines() -> &'static [(Ecosystem, ValidationEngine)] {
+    static ENGINES: OnceLock<Vec<(Ecosystem, ValidationEngine)>> = OnceLock::new();
+    ENGINES.get_or_init(|| {
+        ecosys::all()
+            .into_iter()
+            .map(|eco| {
+                let plan = ValidationPlan::compile_for(eco.constraints().unwrap(), eco);
+                (eco, ValidationEngine::new(Arc::new(plan), EngineOptions::serving()))
+            })
+            .collect()
+    })
+}
+
+/// A batch line built from the characters and tokens the line format
+/// gives meaning to (`|`, `#`, `,`, `=`, `^`, flags, empty tokens),
+/// glued by separators or nothing, mixed with arbitrary text —
+/// non-ASCII, control characters and all.
+fn hostile_line() -> impl Strategy<Value = String> {
+    let token = prop_oneof![
+        prop_oneof![
+            Just("|"),
+            Just("#"),
+            Just(","),
+            Just("="),
+            Just("^"),
+            Just(""),
+            Just("-"),
+            Just("-O"),
+            Just("-E"),
+            Just("-J"),
+            Just("-b"),
+            Just("-L"),
+            Just("-U"),
+            Just("-o"),
+            Just("-s"),
+            Just("-t"),
+            Just("ro"),
+            Just("data=journal"),
+            Just("commit=-1"),
+            Just("errors="),
+            Just("^has_journal"),
+            Just("meta_bg,,resize_inode"),
+            Just("stride=99999999999999999999"),
+            Just("size="),
+            Just("é"),
+            Just("λ=\u{1F600}"),
+            Just("\u{0}"),
+        ]
+        .prop_map(str::to_string),
+        ".{0,8}",
+        "[-0-9|#,=^ a-z]{0,8}",
+    ];
+    let glue = prop_oneof![Just(" "), Just(""), Just(","), Just("|"), Just("\t")];
+    prop::collection::vec((token, glue), 0..12).prop_map(|parts| {
+        parts.into_iter().flat_map(|(token, glue)| [token, glue.to_string()]).collect()
+    })
+}
+
 fn direct_verdicts(query: &ConfigQuery) -> Vec<Verdict> {
     let views: Vec<&TypedConfig> = query.views();
     plan()
@@ -186,6 +247,36 @@ proptest! {
     }
 
     #[test]
+    fn memo_key_matches_exactly_the_equal_query(
+        a in query_strategy(),
+        b in query_strategy(),
+        mode in 0u8..3,
+        cut in 0usize..4096,
+    ) {
+        // mode 0: an independent pair; 1: an equal pair; 2: b carries
+        // one extra empty operand, which the canonical state key (and
+        // so the fingerprint) cannot see
+        let b = match mode {
+            0 => b,
+            1 => a.clone(),
+            _ => {
+                let mut extended = a.clone();
+                extended.configs.last_mut().unwrap().operands.push(String::new());
+                extended
+            }
+        };
+        let key = b.memo_key();
+        prop_assert_eq!(a.matches_key(&key), a == b);
+        // a key only a prefix of the encoding, or one the encoding is
+        // only a prefix of, never matches — not even its owner
+        let cut = cut % key.len();
+        prop_assert!(!a.matches_key(&key[..cut]), "matched a {}-byte prefix", cut);
+        prop_assert!(!b.matches_key(&key[..cut]), "matched a {}-byte prefix", cut);
+        let extended = [&key[..], &key[..=cut]].concat();
+        prop_assert!(!b.matches_key(&extended), "matched its key plus {} bytes", cut + 1);
+    }
+
+    #[test]
     fn repair_always_revalidates_clean(query in query_strategy()) {
         let (_, indexed, _) = engines();
         let proposal = indexed.repair(&query);
@@ -200,6 +291,36 @@ proptest! {
         // a state the repair left untouched was already clean
         if proposal.changes.is_empty() {
             prop_assert!(indexed.validate(&query).ok());
+        }
+    }
+}
+
+proptest! {
+    // cheap cases: a parse and one served validation per ecosystem
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn hostile_batch_lines_parse_without_panic_and_serve_exactly(line in hostile_line()) {
+        // untagged lines go to the untagged ext4 plan
+        if let Some(query) = ConfigQuery::parse_line(&line) {
+            let (_, _, serving) = engines();
+            let served = serving.validate(&query);
+            prop_assert_eq!(&direct_verdicts(&query)[..], &served.verdicts[..]);
+        }
+        for (eco, engine) in eco_engines() {
+            let Some(query) = ConfigQuery::parse_line_for(eco, &line) else {
+                continue;
+            };
+            let views = query.views();
+            let direct: Vec<Verdict> = engine
+                .plan()
+                .constraints()
+                .constraints()
+                .iter()
+                .map(|c| c.evaluate(&views))
+                .collect();
+            let served = engine.validate(&query);
+            prop_assert_eq!(&direct[..], &served.verdicts[..], "{} diverged on {:?}", eco.name, line);
         }
     }
 }
