@@ -193,6 +193,47 @@ fn fuzz_campaigns_match_golden_digest() {
     check("fuzz", h.0, FUZZ_DIGEST);
 }
 
+/// The same fuzz campaigns pinned by their counts alone. The digest
+/// above folds the state fingerprints themselves, so a change to how a
+/// state is fingerprinted moves it; these counts move only when the
+/// campaign gives a different set of distinct states different
+/// verdicts.
+#[test]
+fn fuzz_campaign_counts_match_golden_pin() {
+    let want = [
+        "ext4: deep=23 cli=41 format=21 mount=2 generated=104 unique=87 fresh=87 covered=88/88",
+        "f2fs: deep=1 cli=33 format=65 mount=0 generated=122 unique=99 fresh=99 covered=106/106",
+    ];
+    for ((eco, harness), want) in
+        [(ecosys::ext4(), Harness::ext4()), (ecosys::f2fs(), Harness::f2fs())].into_iter().zip(want)
+    {
+        let set = eco.constraints().expect("extraction");
+        let opts = FuzzOptions {
+            seed: 2022,
+            rounds: 2,
+            batch: 16,
+            threads: 1,
+            strategy: Strategy::Solver,
+            store_path: None,
+        };
+        let r = fuzz_campaign_with(&set, &opts, &harness).report;
+        let got = format!(
+            "{}: deep={} cli={} format={} mount={} generated={} unique={} fresh={} covered={}/{}",
+            harness.name,
+            r.deep,
+            r.rejected_cli,
+            r.rejected_format,
+            r.rejected_mount,
+            r.generated,
+            r.unique_verdicts,
+            r.executed_fresh,
+            r.coverage_covered,
+            r.coverage_universe
+        );
+        assert_eq!(got, want, "fuzz campaign counts moved");
+    }
+}
+
 // ---------------------------------------------------------------------
 // ConBugCk
 // ---------------------------------------------------------------------
