@@ -12,14 +12,9 @@
 //! bridging pass, not the per-component analysis, so toggling it must
 //! (and does) hit the cache.
 //!
-//! The cache is in-memory; setting `CONFDEP_CACHE_SPILL` spills it to a
-//! JSON file (the variable's value, or
-//! `target/confdep-analysis-cache.json` when set to `1`) after each
-//! scenario extraction, and pre-loads it from the same file on first
-//! use — mirroring `crashsim`'s verdict cache.
+//! The cache is in-memory and lives as long as the process.
 
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -43,13 +38,6 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that ran a fresh analysis.
     pub misses: u64,
-}
-
-/// Entry format of the JSON spill file.
-#[derive(serde::Serialize, serde::Deserialize)]
-struct SpillEntry {
-    fingerprint: u64,
-    component: AnalyzedComponent,
 }
 
 /// A content-addressed map from model fingerprints to analysis results.
@@ -116,83 +104,12 @@ impl AnalysisCache {
     pub fn clear(&self) {
         self.entries.lock().expect("cache poisoned").clear();
     }
-
-    /// Writes the cache as JSON to `path` (entries sorted by
-    /// fingerprint, so the file is deterministic).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfdepError::Io`] / [`ConfdepError::Json`] on write or
-    /// serialization failure.
-    pub fn spill(&self, path: &Path) -> Result<(), ConfdepError> {
-        let mut rows: Vec<SpillEntry> = self
-            .entries
-            .lock()
-            .expect("cache poisoned")
-            .iter()
-            .map(|(&fingerprint, component)| SpillEntry {
-                fingerprint,
-                component: (**component).clone(),
-            })
-            .collect();
-        rows.sort_by_key(|r| r.fingerprint);
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        std::fs::write(path, serde_json::to_string(&rows)?)?;
-        Ok(())
-    }
-
-    /// Merges the entries of a spill file into this cache. Loaded
-    /// entries count as neither hits nor misses.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfdepError::Io`] / [`ConfdepError::Json`] on read or
-    /// parse failure.
-    pub fn load(&self, path: &Path) -> Result<usize, ConfdepError> {
-        let rows: Vec<SpillEntry> = serde_json::from_str(&std::fs::read_to_string(path)?)?;
-        let n = rows.len();
-        let mut entries = self.entries.lock().expect("cache poisoned");
-        for row in rows {
-            entries.entry(row.fingerprint).or_insert_with(|| Arc::new(row.component));
-        }
-        Ok(n)
-    }
-}
-
-/// The spill path selected by `CONFDEP_CACHE_SPILL`, if the variable is
-/// set: its value, or `target/confdep-analysis-cache.json` for `1`.
-pub fn spill_path() -> Option<PathBuf> {
-    match std::env::var("CONFDEP_CACHE_SPILL") {
-        Ok(v) if v == "1" => Some(PathBuf::from("target/confdep-analysis-cache.json")),
-        Ok(v) if !v.is_empty() => Some(PathBuf::from(v)),
-        _ => None,
-    }
 }
 
 /// The process-wide cache used by the scenario extraction pipeline.
-/// Pre-loaded from [`spill_path`] on first use when the file exists.
 pub fn global() -> &'static AnalysisCache {
     static CACHE: OnceLock<AnalysisCache> = OnceLock::new();
-    CACHE.get_or_init(|| {
-        let cache = AnalysisCache::new();
-        if let Some(path) = spill_path() {
-            if path.exists() {
-                let _ = cache.load(&path);
-            }
-        }
-        cache
-    })
-}
-
-/// Spills the global cache when `CONFDEP_CACHE_SPILL` asks for it;
-/// called by the pipeline after each scenario extraction. Spill
-/// failures are deliberately non-fatal (the cache is an optimisation).
-pub fn maybe_spill_global() {
-    if let Some(path) = spill_path() {
-        let _ = global().spill(&path);
-    }
+    CACHE.get_or_init(AnalysisCache::new)
 }
 
 #[cfg(test)]
@@ -230,21 +147,5 @@ mod tests {
         assert!(cache.get_or_analyze("not a model", opts).is_err());
         assert!(cache.is_empty());
         assert_eq!(cache.stats().misses, 0);
-    }
-
-    #[test]
-    fn spill_round_trips() {
-        let cache = AnalysisCache::new();
-        let opts = ExtractOptions::default();
-        let original = cache.get_or_analyze(models::E2FSCK, opts).unwrap();
-        let path = std::env::temp_dir().join("confdep-cache-spill-test.json");
-        cache.spill(&path).unwrap();
-
-        let restored = AnalysisCache::new();
-        assert_eq!(restored.load(&path).unwrap(), 1);
-        let hit = restored.get_or_analyze(models::E2FSCK, opts).unwrap();
-        assert_eq!(*hit, *original);
-        assert_eq!(restored.stats(), CacheStats { hits: 1, misses: 0 });
-        std::fs::remove_file(&path).ok();
     }
 }

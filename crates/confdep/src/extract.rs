@@ -117,8 +117,7 @@ pub fn extract_scenario_parallel(
 
 /// The full pipeline: parallel cached analysis, then dependency
 /// extraction; returns the analyzed components alongside the deps.
-/// Uses (and spills, when `CONFDEP_CACHE_SPILL` is set) the global
-/// analysis cache.
+/// Uses the process-wide analysis cache.
 ///
 /// # Errors
 ///
@@ -128,10 +127,7 @@ pub fn extract_scenario_full(
     options: ExtractOptions,
     threads: usize,
 ) -> Result<ScenarioExtraction, ConfdepError> {
-    let extraction =
-        extract_scenario_with_cache(sources, options, threads, cache::global())?;
-    cache::maybe_spill_global();
-    Ok(extraction)
+    extract_scenario_with_cache(sources, options, threads, cache::global())
 }
 
 /// [`extract_scenario_full`] against a caller-owned cache (tests use a

@@ -9,13 +9,16 @@
 //! *deep-run* rate of dependency-aware generation against naive random
 //! generation.
 
-use blockdev::{fnv1a, MemDevice, FNV_OFFSET_BASIS};
+use blockdev::MemDevice;
+use confdep::solve::SolverScope;
 use confdep::{extract_scenario, models, ConstraintSet, ExtractOptions};
 use e2fstools::{E2fsck, FsckMode, Mke2fs, MountCmd, TypedConfig};
 use ext4sim::CachePolicy;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+
+use crate::fuzz::Harness;
 
 /// One generated configuration: a `mke2fs` invocation plus mount
 /// options.
@@ -28,51 +31,12 @@ pub struct GeneratedConfig {
 }
 
 impl GeneratedConfig {
-    /// The lenient typed views of the two invocation halves — the
-    /// whole-configuration state in the ecosystem's shared value model.
-    pub fn typed(&self) -> (TypedConfig, TypedConfig) {
-        (
-            TypedConfig::from_mkfs_args_lenient(&self.mkfs_args),
-            TypedConfig::from_mount_opts_lenient(&self.mount_opts),
-        )
-    }
-
-    /// Canonical whole-configuration state key — the identity
-    /// [`coverage`] counts distinct states by, and the memoization key
-    /// the campaigns use to run each distinct state only once.
-    ///
-    /// Derived from the sorted [`TypedConfig`] views, so
-    /// semantically-equal configurations (same options in a different
-    /// argument order or spelling) share one state.
-    pub fn state_key(&self) -> String {
-        let (mkfs, mount) = self.typed();
-        format!("{}|{}", mkfs.canonical_key(), mount.canonical_key())
-    }
-
-    /// Allocation-free fingerprint of [`GeneratedConfig::state_key`]:
-    /// a 64-bit FNV-1a hash streamed over the exact canonical-key
-    /// bytes, so the campaign dedup maps can key on a `u64` instead of
-    /// building a `String` per candidate. `state_key` remains the
-    /// display/serde identity.
-    pub fn state_id(&self) -> u64 {
-        use std::fmt::Write as _;
-        let (mkfs, mount) = self.typed();
-        let mut hasher = FnvWriter(FNV_OFFSET_BASIS);
-        mkfs.canonical_key_into(&mut hasher).expect("hashing is infallible");
-        hasher.write_char('|').expect("hashing is infallible");
-        mount.canonical_key_into(&mut hasher).expect("hashing is infallible");
-        hasher.0
-    }
-}
-
-/// [`fnv1a`] behind [`std::fmt::Write`], so canonical keys hash without
-/// being materialised as strings.
-struct FnvWriter(u64);
-
-impl std::fmt::Write for FnvWriter {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        self.0 = fnv1a(self.0, s.as_bytes());
-        Ok(())
+    /// The typed views of the two invocation halves under `scope`'s
+    /// lenient parsers — the whole-configuration state in the
+    /// ecosystem's shared value model, and the views
+    /// `ConfigQuery::from_cli_for` builds for the same lines.
+    pub fn views(&self, scope: &SolverScope) -> [TypedConfig; 2] {
+        [(scope.parse_create)(&self.mkfs_args), (scope.parse_mount)(&self.mount_opts)]
     }
 }
 
@@ -343,18 +307,19 @@ pub struct CoverageStats {
 }
 
 /// Measures the coverage of a configuration set. Parameters and states
-/// are counted on the [`TypedConfig`] views, so the tally uses the same
-/// identities as the registry and the campaign memoization.
+/// are counted on the [`TypedConfig`] views, and states by the
+/// [`Harness::ext4`] state key the campaigns dedup by.
 pub fn coverage(configs: &[GeneratedConfig]) -> CoverageStats {
     use std::collections::BTreeSet;
+    let harness = Harness::ext4();
+    let scope = (harness.scope)();
     let mut params: BTreeSet<(String, String)> = BTreeSet::new();
-    let mut states: BTreeSet<String> = BTreeSet::new();
+    let mut states: BTreeSet<Box<[u8]>> = BTreeSet::new();
     for c in configs {
-        states.insert(c.state_key());
-        let (mkfs, mount) = c.typed();
-        for cfg in [&mkfs, &mount] {
-            for name in cfg.values.keys() {
-                params.insert((cfg.component.clone(), name.clone()));
+        states.insert(harness.state_key(c));
+        for cfg in c.views(&scope) {
+            for name in cfg.values.into_keys() {
+                params.insert((cfg.component.clone(), name));
             }
         }
     }
@@ -376,14 +341,19 @@ fn tally(depths: impl IntoIterator<Item = RunDepth>) -> ConfigCampaign {
 }
 
 /// Runs a campaign over a set of configurations on `threads` workers
-/// (see [`conpool::effective_threads`]). Identical generated
-/// configurations (same [`GeneratedConfig::state_id`]) execute once, on
-/// the campaign driver [`conpool::map_unique`]; every duplicate is
-/// tallied from its first occurrence's result. Each run owns its
-/// device, so the tally does not depend on the thread count.
+/// (see [`conpool::effective_threads`]). Configurations of one state
+/// (same [`Harness::ext4`] state key) execute once, on the campaign
+/// driver [`conpool::map_unique`]; every duplicate is tallied from its
+/// first occurrence's result. Each run owns its device, so the tally
+/// does not depend on the thread count.
 pub fn campaign(configs: &[GeneratedConfig], threads: usize) -> ConfigCampaign {
-    let (depths, slots) =
-        conpool::map_unique(configs.iter().collect(), threads, |cfg| Some(cfg.state_id()), execute);
+    let harness = Harness::ext4();
+    let (depths, slots) = conpool::map_unique(
+        configs.iter().collect(),
+        threads,
+        |cfg| Some(harness.state_key(cfg)),
+        execute,
+    );
     let mut c = tally(slots.into_iter().map(|i| depths[i]));
     c.executed = depths.len();
     c
@@ -441,24 +411,26 @@ mod tests {
         );
         let par = campaign(&configs, 4);
         assert_eq!(par, seq);
-        // the u64 fingerprints the campaigns dedup by must partition
-        // the runs exactly like the string state keys do
-        let ids: std::collections::HashSet<u64> =
-            configs.iter().map(GeneratedConfig::state_id).collect();
-        let keys: std::collections::HashSet<String> =
-            configs.iter().map(|c| c.state_key()).collect();
+        // the fingerprints the fuzz campaigns dedup by partition the
+        // runs exactly like the state keys this campaign dedups by
+        let h = Harness::ext4();
+        let ids: std::collections::HashSet<u64> = configs.iter().map(|c| h.state_id(c)).collect();
+        let keys: std::collections::HashSet<Box<[u8]>> =
+            configs.iter().map(|c| h.state_key(c)).collect();
         assert_eq!(ids.len(), keys.len(), "state_id collision changed campaign totals");
         assert_eq!(ids.len(), uniques);
     }
 
     #[test]
     fn state_id_fingerprints_state_key() {
+        let h = Harness::ext4();
         let mut gen = ConBugCk::new(11).unwrap();
         let configs = gen.generate(64);
-        let mut by_key: HashMap<String, u64> = HashMap::new();
+        let mut by_key: HashMap<Box<[u8]>, u64> = HashMap::new();
         for cfg in &configs {
-            let key = cfg.state_key();
-            let id = cfg.state_id();
+            let key = h.state_key(cfg);
+            let id = h.state_id(cfg);
+            assert_eq!(id, blockdev::fnv1a(blockdev::FNV_OFFSET_BASIS, &key));
             // equal keys hash equal; distinct keys stay distinct
             if let Some(&prev) = by_key.get(&key) {
                 assert_eq!(prev, id, "same state key, different state id");
@@ -476,8 +448,39 @@ mod tests {
             mkfs_args: vec!["-b".into(), "4096".into(), "-m".into(), "5".into()],
             mount_opts: "ro,data=ordered".into(),
         };
-        assert_eq!(a.state_id(), b.state_id());
-        assert_eq!(a.state_key(), b.state_key());
+        assert_eq!(h.state_id(&a), h.state_id(&b));
+        assert_eq!(h.state_key(&a), h.state_key(&b));
+    }
+
+    /// Two configurations whose display keys collide: a label spelling
+    /// the key's separators (deep when run alone) and a real label plus
+    /// a bare `-z` (rejected at the CLI).
+    fn display_key_twins() -> (GeneratedConfig, GeneratedConfig) {
+        let spelled = GeneratedConfig {
+            mkfs_args: vec!["-L".into(), "x,z=b:true".into()],
+            mount_opts: String::new(),
+        };
+        let flagged = GeneratedConfig {
+            mkfs_args: vec!["-L".into(), "x".into(), "-z".into()],
+            mount_opts: String::new(),
+        };
+        (spelled, flagged)
+    }
+
+    #[test]
+    fn display_key_twins_are_tallied_and_stored_separately() {
+        let (a, b) = display_key_twins();
+        assert_eq!(execute(&a), RunDepth::Deep);
+        assert_eq!(execute(&b), RunDepth::RejectedCli);
+        for configs in [[a.clone(), b.clone()], [b.clone(), a.clone()]] {
+            let c = campaign(&configs, 1);
+            assert_eq!((c.executed, c.deep, c.rejected_cli), (2, 1, 1), "{configs:?}");
+        }
+        assert_eq!(coverage(&[a.clone(), b.clone()]).distinct_states, 2);
+        // the fuzz verdict store keys them apart too
+        let h = Harness::ext4();
+        let store_key = |cfg: &GeneratedConfig| blockdev::ImageDigest::of_bytes(&h.state_key(cfg));
+        assert_ne!(store_key(&a), store_key(&b));
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! The F2FS side of the checkers: executor, typed views, and mutation
-//! for the fuzz [`Harness`], plus the ConHandleCk violation cases of
-//! the second ecosystem.
+//! The F2FS side of the checkers: executor and mutation for the fuzz
+//! [`Harness`], plus the ConHandleCk violation cases of the second
+//! ecosystem.
 //!
 //! Everything here plugs into the same ecosystem-agnostic machinery the
 //! ext4 substrate uses — the campaign loop, the coverage tracker, the
@@ -9,7 +9,7 @@
 
 use blockdev::MemDevice;
 use confdep::solve::{SolvedConfig, Solver, SolverScope};
-use e2fstools::typed::{TypedConfig, TypedValue};
+use e2fstools::typed::TypedValue;
 use f2fstools::{F2fsError, F2fsMount, FsckF2fs, MkfsF2fs};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -23,9 +23,8 @@ use crate::fuzz::{to_generated, Harness};
 pub fn harness() -> Harness {
     Harness {
         name: "f2fs",
-        store_context: "conbugck/fuzz/f2fs/v1",
+        store_context: "conbugck/fuzz/f2fs/v2",
         scope: f2fs_scope,
-        typed: typed_views,
         execute: execute_f2fs,
         cheap_parent: cheap_parent_f2fs,
         mutate: mutate_f2fs,
@@ -34,15 +33,6 @@ pub fn harness() -> Harness {
 
 fn f2fs_scope() -> SolverScope {
     ecosys::f2fs().solver_scope()
-}
-
-/// The lenient typed views of an f2fs candidate — the f2fs analog of
-/// [`GeneratedConfig::typed`].
-pub fn typed_views(cfg: &GeneratedConfig) -> (TypedConfig, TypedConfig) {
-    (
-        f2fstools::typed::from_mkfs_f2fs_args_lenient(&cfg.mkfs_args),
-        f2fstools::typed::from_f2fs_mount_opts_lenient(&cfg.mount_opts),
-    )
 }
 
 /// Executes one f2fs configuration end to end: format, mount, a small
@@ -119,7 +109,7 @@ fn pick_int(solver: &Solver<'_>, rng: &mut StdRng, component: &str, param: &str)
 /// pools: geometry integers, `-O` feature toggles, mount enums and
 /// integers, and the boolean mount surface.
 fn mutate_f2fs(solver: &Solver<'_>, rng: &mut StdRng, parent: &GeneratedConfig) -> GeneratedConfig {
-    let (mkfs, mount) = typed_views(parent);
+    let [mkfs, mount] = parent.views(solver.scope());
     let mut solved = SolvedConfig { mkfs, mount };
     let ops = 1 + rng.gen_range(0..2);
     for _ in 0..ops {

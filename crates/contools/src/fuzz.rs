@@ -21,10 +21,10 @@
 //! * **Memoization**: candidates already given a verdict in an earlier
 //!   round are dropped, each round's batch runs on the campaign driver
 //!   [`conpool::map_unique`] keyed by [`Harness::state_id`], and
-//!   verdicts are memoized in a [`VerdictStore`] keyed by the canonical
-//!   state key — a persistent store makes campaigns incremental across
-//!   processes (a warm rerun executes nothing and reproduces the cold
-//!   verdicts bit for bit).
+//!   verdicts are memoized in a [`VerdictStore`] keyed by the digest of
+//!   [`Harness::state_key`] — a persistent store makes campaigns
+//!   incremental across processes (a warm rerun executes nothing and
+//!   reproduces the cold verdicts bit for bit).
 //!
 //! Each distinct state runs the full mkfs → mount → workload → fsck
 //! pipeline once, on the shared worker pool.
@@ -36,7 +36,7 @@ use std::time::Instant;
 use blockdev::{fnv1a, store_context, ImageDigest, VerdictStore, FNV_OFFSET_BASIS};
 use confdep::solve::{Polarity, SolvedConfig, Solver, SolverScope};
 use confdep::{ConstraintSet, Verdict};
-use e2fstools::typed::{TypedConfig, TypedValue};
+use e2fstools::typed::{state_fingerprint, state_key, TypedConfig, TypedValue};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -45,28 +45,26 @@ use crate::conbugck::{execute, ConBugCk, GeneratedConfig, RunDepth};
 
 /// Store context tag: campaign semantics version. Bump on any change to
 /// the executor or the state-key format.
-const STORE_CONTEXT: &str = "conbugck/fuzz/v1";
+const STORE_CONTEXT: &str = "conbugck/fuzz/v2";
 
-/// Everything ecosystem-specific the fuzz loop needs: how a
-/// [`GeneratedConfig`] is typed, executed, bred, and which solver scope
-/// renders candidates. The campaign itself — seeding, dedup, the
+/// Everything ecosystem-specific the fuzz loop needs: which solver scope
+/// renders and types candidates, and how a [`GeneratedConfig`] is
+/// executed and bred. The campaign itself — seeding, dedup, the
 /// verdict store, coverage accounting — is ecosystem-agnostic and runs
 /// unchanged over any harness.
 ///
 /// All fields are plain function pointers so a harness is a `'static`
-/// value with no captured state; [`Harness::ext4`] reproduces the
-/// original single-ecosystem campaign bit for bit (same store context,
-/// same state fingerprints, same RNG consumption).
+/// value with no captured state; [`Harness::ext4`] is the original
+/// single-ecosystem campaign.
 pub struct Harness {
     /// Ecosystem label (`"ext4"`, `"f2fs"`).
     pub name: &'static str,
     /// Verdict-store context tag; distinct per ecosystem so memoized
     /// verdicts can never cross substrates.
     pub store_context: &'static str,
-    /// The solver scope generating and rendering candidates.
+    /// The solver scope generating and rendering candidates; its
+    /// lenient parsers type them ([`GeneratedConfig::views`]).
     pub scope: fn() -> SolverScope,
-    /// The lenient typed views of a candidate's two invocation halves.
-    pub typed: fn(&GeneratedConfig) -> (TypedConfig, TypedConfig),
     /// The end-to-end executor (format → mount → workload → check).
     pub execute: fn(&GeneratedConfig) -> RunDepth,
     /// Whether a config may join the mutation corpus (cost gate).
@@ -82,7 +80,6 @@ impl Harness {
             name: "ext4",
             store_context: STORE_CONTEXT,
             scope: SolverScope::ext4,
-            typed: ext4_typed,
             execute,
             cheap_parent,
             mutate,
@@ -94,24 +91,20 @@ impl Harness {
         crate::f2fs::harness()
     }
 
-    /// Canonical whole-configuration state key under this harness's
-    /// typed views — the store/memoization identity. Equals
-    /// [`GeneratedConfig::state_key`] for the ext4 harness.
-    pub fn state_key(&self, cfg: &GeneratedConfig) -> String {
-        let (create, mount) = (self.typed)(cfg);
-        format!("{}|{}", create.canonical_key(), mount.canonical_key())
+    /// The state identity of a candidate: the shared [`state_key`] of
+    /// its typed views, tagged with the harness name. Equal to the
+    /// `memo_key` of `convalid::ConfigQuery::from_cli_for` over the same
+    /// ecosystem and lines, and the verdict-store key's preimage.
+    pub fn state_key(&self, cfg: &GeneratedConfig) -> Box<[u8]> {
+        state_key(Some(self.name), &cfg.views(&(self.scope)()))
     }
 
-    /// FNV-1a fingerprint of [`Harness::state_key`]. Byte-identical to
-    /// [`GeneratedConfig::state_id`] for the ext4 harness, so existing
-    /// persistent stores stay warm across the refactor.
+    /// FNV-1a of [`Harness::state_key`] ([`state_fingerprint`]) — the
+    /// campaign's dedup and verdict-map key, and the serving
+    /// fingerprint of the same state.
     pub fn state_id(&self, cfg: &GeneratedConfig) -> u64 {
-        fnv1a(FNV_OFFSET_BASIS, self.state_key(cfg).as_bytes())
+        state_fingerprint(Some(self.name), &cfg.views(&(self.scope)()))
     }
-}
-
-fn ext4_typed(cfg: &GeneratedConfig) -> (TypedConfig, TypedConfig) {
-    cfg.typed()
 }
 
 /// Corpus cap: the mutation pool keeps at most this many states.
@@ -208,32 +201,19 @@ impl PolarityCoverage {
     /// (the state contributed coverage). A no-op once the universe is
     /// saturated.
     pub fn observe(&mut self, solver: &Solver<'_>, config: &GeneratedConfig) -> bool {
-        let (mkfs, mount) = config.typed();
-        self.observe_views(solver, &mkfs, &mount)
-    }
-
-    /// [`PolarityCoverage::observe`] over already-computed typed views —
-    /// the harness-agnostic entry point ([`fuzz_campaign_with`] types
-    /// candidates through its [`Harness`], not through the ext4 lenient
-    /// parsers baked into [`GeneratedConfig::typed`]).
-    pub fn observe_views(
-        &mut self,
-        solver: &Solver<'_>,
-        mkfs: &TypedConfig,
-        mount: &TypedConfig,
-    ) -> bool {
         if self.complete() {
             return false;
         }
+        let [mkfs, mount] = config.views(solver.scope());
         let mut contributed = false;
         for (i, c) in solver.constraints().constraints().iter().enumerate() {
-            match c.evaluate(&[mkfs, mount]) {
+            match c.evaluate(&[&mkfs, &mount]) {
                 Verdict::Satisfied => {
                     contributed |= self.cover((i, Polarity::Satisfy));
                     let boundary = (i, Polarity::Boundary);
                     if self.witnesses.contains_key(&boundary)
                         && !self.covered.contains(&boundary)
-                        && solver.hits(c, Polarity::Boundary, mkfs, mount)
+                        && solver.hits(c, Polarity::Boundary, &mkfs, &mount)
                     {
                         self.covered.insert(boundary);
                         contributed = true;
@@ -447,7 +427,7 @@ pub fn fuzz_campaign_with(
             opts.threads,
             |&(id, _)| Some(id),
             |(id, cfg)| {
-                let key = (ImageDigest::of_bytes(harness.state_key(&cfg).as_bytes()), ctx);
+                let key = (ImageDigest::of_bytes(&harness.state_key(&cfg)), ctx);
                 let depth = store.get_or_compute(key, || (harness.execute)(&cfg));
                 (id, cfg, depth)
             },
@@ -455,8 +435,7 @@ pub fn fuzz_campaign_with(
 
         for (id, cfg, depth) in results {
             verdicts.insert(id, depth);
-            let (create, mount) = (harness.typed)(&cfg);
-            let contributed = coverage.observe_views(&solver, &create, &mount);
+            let contributed = coverage.observe(&solver, &cfg);
             // mutants inherit every value they don't touch, so an
             // expensive parent spawns expensive descendants for the
             // rest of the campaign — only cheap configs breed
@@ -588,7 +567,7 @@ fn cheap_values(pool: Vec<i64>, keep: impl Fn(i64) -> bool) -> Vec<i64> {
 /// every value the mutator doesn't touch, so one oversized journal or
 /// block size in a parent taxes every mutant bred from it.
 fn cheap_parent(cfg: &GeneratedConfig) -> bool {
-    let (mkfs, _) = cfg.typed();
+    let mkfs = TypedConfig::from_mkfs_args_lenient(&cfg.mkfs_args);
     if let Some(TypedValue::Int(j)) = mkfs.get("journal_size") {
         if *j > DEVICE_BLOCKS {
             return false;
@@ -607,7 +586,7 @@ fn cheap_parent(cfg: &GeneratedConfig) -> bool {
 /// arise naturally), feature toggles, enum members — the replacement
 /// for the legacy hard-coded tables.
 fn mutate(solver: &Solver<'_>, rng: &mut StdRng, parent: &GeneratedConfig) -> GeneratedConfig {
-    let (mkfs, mount) = parent.typed();
+    let [mkfs, mount] = parent.views(solver.scope());
     let mut solved = SolvedConfig { mkfs, mount };
     // parents come from renders of typed states, but the round trip can
     // in principle produce values the renderer refuses — keep the
@@ -723,19 +702,6 @@ mod tests {
             assert!(r.unique_verdicts <= r.generated);
             // the table-driven generators cannot reach every polarity
             assert!(r.coverage_covered < r.coverage_universe, "{strategy} covered everything");
-        }
-    }
-
-    #[test]
-    fn ext4_harness_state_identity_matches_generated_config() {
-        // the refactor's compatibility pin: the harness's generic state
-        // key/fingerprint must be byte-identical to the hard-coded ext4
-        // ones, so existing persistent stores stay warm
-        let h = Harness::ext4();
-        let mut gen = ConBugCk::new(11).expect("models compile");
-        for cfg in gen.generate(32) {
-            assert_eq!(h.state_key(&cfg), cfg.state_key());
-            assert_eq!(h.state_id(&cfg), cfg.state_id());
         }
     }
 

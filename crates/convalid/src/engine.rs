@@ -198,9 +198,9 @@ impl ValidationEngine {
     /// bump — the batch path counts whole chunks instead.
     fn validate_uncounted(&self, query: &ConfigQuery) -> ValidationOutcome {
         if let Some(memo) = &self.memo {
-            // hot path: stream the FNV fingerprint without rendering the
-            // canonical-state string; the memo streams the query's exact
-            // key against the stored bytes, so no allocation happens on
+            // hot path: the fingerprint streams over the state encoding
+            // without building it; the memo streams the same encoding
+            // against the stored key bytes, so no allocation happens on
             // a hit
             let fingerprint = query.fingerprint();
             if let Some(verdicts) = memo.lookup(fingerprint, query) {
@@ -409,15 +409,19 @@ mod tests {
 
     #[test]
     fn canonical_key_collision_misses_and_matches_direct_evaluation() {
-        // same state key and fingerprint, different queries: the second
-        // must be evaluated, not served the first one's verdicts
+        // same display key, different queries: the fingerprints differ,
+        // the memo refuses one's entry to the other even in one slot,
+        // and the second is evaluated, not served the first's verdicts
         let eco = ecosys::ext4();
         let plan = Arc::new(ValidationPlan::compile_for(eco.constraints().unwrap(), eco));
         let engine = ValidationEngine::new(plan, EngineOptions::serving());
         let a = ConfigQuery::parse_line_for(&eco, "-L x,uuid=s:y | ro").unwrap();
         let b = ConfigQuery::parse_line_for(&eco, "-L x -U y | ro").unwrap();
-        assert_eq!(a.fingerprint(), b.fingerprint());
+        assert_eq!(a.state_key(), b.state_key());
+        assert_ne!(a.fingerprint(), b.fingerprint());
         assert!(!engine.validate(&a).memo_hit);
+        let memo = engine.memo.as_ref().unwrap();
+        assert!(memo.lookup(a.fingerprint(), &b).is_none(), "forced slot served b a's entry");
         let outcome = engine.validate(&b);
         assert!(!outcome.memo_hit, "colliding query was served from the memo");
         let views = b.views();

@@ -22,7 +22,7 @@
 //!   construction); the *naive* path — every query walks all compiled
 //!   constraints — is retained as the equivalence baseline.
 //! * [`ShardedMemo`] memoizes whole verdict vectors by the query's
-//!   canonical-state FNV fingerprint across N mutex-striped shards with
+//!   state fingerprint across N mutex-striped shards with
 //!   hit/miss/eviction counters; repeated configurations are answered
 //!   without evaluating anything.
 //! * [`ValidationEngine::validate_many`] fans a batch out over
@@ -42,10 +42,8 @@
 //! builds a plan for any registered [`ecosys::Ecosystem`] (doc
 //! verdicts from that ecosystem's manual corpus, repair in its solver
 //! scope), and [`ConfigQuery::tagged`] / [`ConfigQuery::from_cli_for`]
-//! fold the ecosystem name into the canonical state key and FNV
-//! fingerprint, so memo entries can never collide across ecosystems.
-//! Untagged queries and [`ValidationPlan::compile`] keep the original
-//! ext4 identity bytes exactly. The cross-ecosystem agreement
+//! fold the ecosystem name into the state key and fingerprint, so memo
+//! entries can never collide across ecosystems. The cross-ecosystem agreement
 //! constraints ([`ecosys::cross_fs_constraints`]) compile into the
 //! same plan machinery — "must agree" control pairs violate when the
 //! two mount components set a shared parameter to different values.

@@ -1,17 +1,16 @@
 //! Sharded verdict memoization for the serving path.
 //!
-//! Whole verdict vectors are cached under the query's canonical-state
-//! FNV fingerprint. The map is striped across N independently-locked
+//! Whole verdict vectors are cached under the query's state
+//! fingerprint. The map is striped across N independently-locked
 //! shards (shard = fingerprint mod N) so concurrent readers rarely
 //! contend; each shard evicts FIFO at its capacity. The fingerprint
-//! only picks the slot: it inherits the canonical state key's
-//! collisions (a string value may spell the key's own separators), so
-//! each entry also stores the query's exact [`ConfigQuery::memo_key`]
-//! — an injective, length-prefixed byte encoding, a few hundred bytes
-//! where a cloned query is kilobytes. A hit streams the query's
-//! encoding against those bytes without allocating; any difference,
-//! a 64-bit collision included, degrades to a miss instead of a wrong
-//! answer, so the memoized path stays semantically exact.
+//! only picks the slot, so each entry also stores the query's exact
+//! [`ConfigQuery::memo_key`] — the injective state encoding the
+//! fingerprint hashes, a few hundred bytes where a cloned query is
+//! kilobytes. A hit streams the query's encoding against those bytes
+//! without allocating; any difference, a 64-bit collision included,
+//! degrades to a miss instead of a wrong answer, so the memoized path
+//! stays semantically exact.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -220,20 +219,21 @@ mod tests {
 
     #[test]
     fn canonical_key_collision_is_a_miss() {
-        // a label that spells the state key's own separators renders
-        // the same state key, and so the same fingerprint, as a real
-        // label + uuid pair; the exact key must still tell them apart
+        // a label that spells the display key's own separators renders
+        // the same display key as a real label + uuid pair; the
+        // fingerprints differ, and forced into one slot the exact key
+        // still tells them apart
         let eco = ecosys::ext4();
         let a = ConfigQuery::parse_line_for(&eco, "-L x,uuid=s:y | ro").unwrap();
         let b = ConfigQuery::parse_line_for(&eco, "-L x -U y | ro").unwrap();
         assert_ne!(a, b);
         assert_eq!(a.state_key(), "ext4#mke2fs{label=s:x,uuid=s:y}[];mount{ro=b:true}[]");
         assert_eq!(a.state_key(), b.state_key());
-        assert_eq!(a.fingerprint(), b.fingerprint());
+        assert_ne!(a.fingerprint(), b.fingerprint());
         let memo = ShardedMemo::new(MemoOptions { shards: 4, capacity: 16 });
-        memo.insert(a.fingerprint(), &a, verdicts(1));
-        assert!(memo.lookup(b.fingerprint(), &b).is_none());
-        assert!(memo.lookup(a.fingerprint(), &a).is_some());
+        memo.insert(7, &a, verdicts(1));
+        assert!(memo.lookup(7, &b).is_none());
+        assert!(memo.lookup(7, &a).is_some());
     }
 
     #[test]

@@ -2,8 +2,7 @@
 
 use std::sync::OnceLock;
 
-use blockdev::{fnv1a, FNV_OFFSET_BASIS};
-use e2fstools::typed::{TypedConfig, TypedValue};
+use e2fstools::typed::{matches_state_key, state_fingerprint, state_key, TypedConfig};
 use ecosys::Ecosystem;
 use serde::{Deserialize, Serialize};
 
@@ -11,27 +10,26 @@ use serde::{Deserialize, Serialize};
 /// whole-configuration state (typically the `mke2fs` invocation plus
 /// the `mount` option string, but any component set works).
 ///
-/// The query carries its own canonical identity — the concatenated
-/// [`TypedConfig::canonical_key`]s, prefixed with the ecosystem tag
-/// when one is set — and an FNV-1a fingerprint of it, the key the
-/// sharded memo shards and indexes by. Like the fuzz corpus's
-/// `GeneratedConfig::state_id`, the fingerprint is computed once and
-/// travels with the query (clones included), so repeated serving of
-/// the same state never re-hashes it.
+/// The query's identity is the shared state encoding that lives beside
+/// [`TypedConfig`]: [`ConfigQuery::memo_key`] is the injective
+/// [`state_key`] of its ecosystem tag and configs, and
+/// [`ConfigQuery::fingerprint`] is FNV-1a of those bytes — the same
+/// identity the fuzz campaigns give the same state (`Harness::state_id`
+/// in contools). The fingerprint is computed once and travels with the
+/// query (clones included), so repeated serving of the same state never
+/// re-hashes it. [`ConfigQuery::state_key`] is a readable rendering for
+/// display only.
 ///
-/// Untagged queries (the original single-ecosystem shape) keep their
-/// exact historical identity: the state key, the fingerprint, and the
-/// serialized wire format are byte-identical to before the ecosystem
-/// tag existed. Tagged queries fold the tag into all three, so two
-/// ecosystems whose typed views happen to render the same canonical
-/// keys can never share a memo entry.
+/// The ecosystem tag is part of the identity, so two ecosystems whose
+/// typed views happen to be equal can never share a memo entry. The
+/// serialized wire format of an untagged query is exactly
+/// `{"configs": [...]}`, as before the tag existed.
 #[derive(Debug, Clone)]
 pub struct ConfigQuery {
     /// The component configurations, one per component.
     pub configs: Vec<TypedConfig>,
     /// The ecosystem this state belongs to, when the caller serves more
-    /// than one (`None` preserves the original single-ecosystem
-    /// identity bytes).
+    /// than one (`None` for the original single-ecosystem shape).
     ecosystem: Option<String>,
     /// Lazily-computed, clone-carried FNV fingerprint. May go stale if
     /// `configs` is mutated after the first [`ConfigQuery::fingerprint`]
@@ -76,14 +74,14 @@ impl<'de> Deserialize<'de> for ConfigQuery {
 
 impl ConfigQuery {
     /// A query over pre-built typed configurations, untagged — the
-    /// original single-ecosystem identity.
+    /// original single-ecosystem shape.
     pub fn new(configs: Vec<TypedConfig>) -> Self {
         ConfigQuery { configs, ecosystem: None, fingerprint: OnceLock::new() }
     }
 
     /// A query tagged with the ecosystem it belongs to. The tag becomes
-    /// part of the canonical state key and the FNV fingerprint, so memo
-    /// entries of different ecosystems can never collide.
+    /// part of the state key and the fingerprint, so memo entries of
+    /// different ecosystems can never collide.
     pub fn tagged(ecosystem: &str, configs: Vec<TypedConfig>) -> Self {
         ConfigQuery {
             configs,
@@ -145,11 +143,11 @@ impl ConfigQuery {
         self.configs.iter().collect()
     }
 
-    /// The canonical identity string: every config's canonical key,
-    /// `;`-joined in the order given, prefixed `<ecosystem>#` when the
-    /// query is tagged. Used for display, dedup, and debugging; the
-    /// memo's hot path hashes the same byte stream via
-    /// [`ConfigQuery::fingerprint`] without rendering this string.
+    /// A readable rendering of the state: every config's
+    /// [`TypedConfig::canonical_key`], `;`-joined in the order given,
+    /// prefixed `<ecosystem>#` when the query is tagged. For display
+    /// only: like `canonical_key` it is not injective, so nothing keys
+    /// or dedups on it.
     pub fn state_key(&self) -> String {
         let mut key = String::new();
         if let Some(eco) = &self.ecosystem {
@@ -160,48 +158,30 @@ impl ConfigQuery {
             if i > 0 {
                 key.push(';');
             }
-            cfg.canonical_key_into(&mut key).expect("String formatting is infallible");
+            key.push_str(&cfg.canonical_key());
         }
         key
     }
 
-    /// FNV-1a fingerprint of [`ConfigQuery::state_key`], folded
-    /// directly over the typed structure ([`TypedConfig::canonical_fnv1a`])
-    /// — no string rendering, no `fmt` machinery — and computed at most
-    /// once per query lineage (the cache travels with clones). This is
-    /// the serving hot path: every memoized lookup starts here.
-    ///
-    /// The fingerprint only picks the memo slot. It inherits every
-    /// collision of the state key, which is not injective: a string
-    /// value may contain the key's own separators, so `-L x,uuid=s:y`
-    /// and `-L x -U y` share `mke2fs{label=s:x,uuid=s:y}`. The memo
-    /// decides a hit on [`ConfigQuery::memo_key`] instead.
+    /// FNV-1a of [`ConfigQuery::memo_key`] ([`state_fingerprint`]),
+    /// streamed over the encoding without building it, and computed at
+    /// most once per query lineage (the cache travels with clones). This
+    /// is the serving hot path: every memoized lookup starts here. The
+    /// fingerprint picks the memo slot; the memo decides a hit on the
+    /// exact key, so even a 64-bit collision cannot serve wrong
+    /// verdicts.
     pub fn fingerprint(&self) -> u64 {
-        *self.fingerprint.get_or_init(|| {
-            let mut hash = FNV_OFFSET_BASIS;
-            if let Some(eco) = &self.ecosystem {
-                hash = fnv1a(fnv1a(hash, eco.as_bytes()), b"#");
-            }
-            for (i, cfg) in self.configs.iter().enumerate() {
-                if i > 0 {
-                    hash = fnv1a(hash, b";");
-                }
-                hash = cfg.canonical_fnv1a(hash);
-            }
-            hash
-        })
+        *self
+            .fingerprint
+            .get_or_init(|| state_fingerprint(self.ecosystem.as_deref(), &self.configs))
     }
 
-    /// The exact memo key: an injective, length-prefixed byte encoding
-    /// of the query — the ecosystem tag, then per config its component,
-    /// each `(name, typed value)` pair and its operands. Two queries
-    /// have equal keys exactly when they are equal, and the key is a
-    /// few hundred bytes where a cloned query is kilobytes of maps and
+    /// The exact memo key: the query's [`state_key`]. Two queries have
+    /// equal keys exactly when they are equal, and the key is a few
+    /// hundred bytes where a cloned query is kilobytes of maps and
     /// strings.
     pub fn memo_key(&self) -> Box<[u8]> {
-        let mut key = Vec::new();
-        self.encode_key(&mut key);
-        key.into_boxed_slice()
+        state_key(self.ecosystem.as_deref(), &self.configs)
     }
 
     /// Whether `key` is this query's [`ConfigQuery::memo_key`], decided
@@ -209,93 +189,8 @@ impl ConfigQuery {
     /// allocates nothing. A key that is only a prefix of (or extends)
     /// the encoding does not match.
     pub fn matches_key(&self, key: &[u8]) -> bool {
-        let mut cursor = KeyCursor { rest: key, equal: true };
-        self.encode_key(&mut cursor);
-        cursor.equal && cursor.rest.is_empty()
+        matches_state_key(self.ecosystem.as_deref(), &self.configs, key)
     }
-
-    /// The one key encoder both [`ConfigQuery::memo_key`] and
-    /// [`ConfigQuery::matches_key`] run. Every variable-length field is
-    /// length-prefixed and every variant tagged, so the concatenation
-    /// decodes one way only.
-    fn encode_key(&self, sink: &mut impl KeySink) {
-        match &self.ecosystem {
-            None => sink.put(&[0]),
-            Some(eco) => {
-                sink.put(&[1]);
-                put_str(sink, eco);
-            }
-        }
-        put_len(sink, self.configs.len());
-        for cfg in &self.configs {
-            put_str(sink, &cfg.component);
-            put_len(sink, cfg.values.len());
-            for (name, value) in &cfg.values {
-                put_str(sink, name);
-                match value {
-                    TypedValue::Bool(b) => sink.put(&[u8::from(*b)]),
-                    TypedValue::Int(i) => {
-                        sink.put(&[2]);
-                        sink.put(&i.to_le_bytes());
-                    }
-                    TypedValue::Str(v) => {
-                        sink.put(&[3]);
-                        put_str(sink, v);
-                    }
-                }
-            }
-            put_len(sink, cfg.operands.len());
-            for op in &cfg.operands {
-                put_str(sink, op);
-            }
-        }
-    }
-}
-
-/// Where [`ConfigQuery::encode_key`] writes its bytes.
-trait KeySink {
-    fn put(&mut self, bytes: &[u8]);
-}
-
-/// Builds the key (memo insert).
-impl KeySink for Vec<u8> {
-    fn put(&mut self, bytes: &[u8]) {
-        self.extend_from_slice(bytes);
-    }
-}
-
-/// Compares the streamed encoding against stored key bytes (memo
-/// lookup): `equal` clears at the first differing byte, and `rest` is
-/// what the stream has not yet consumed.
-struct KeyCursor<'a> {
-    rest: &'a [u8],
-    equal: bool,
-}
-
-impl KeySink for KeyCursor<'_> {
-    fn put(&mut self, bytes: &[u8]) {
-        if !self.equal {
-            return;
-        }
-        match self.rest.strip_prefix(bytes) {
-            Some(rest) => self.rest = rest,
-            None => self.equal = false,
-        }
-    }
-}
-
-/// A length as an LEB128 varint: one byte below 128.
-fn put_len(sink: &mut impl KeySink, mut n: usize) {
-    while n >= 0x80 {
-        sink.put(&[(n as u8) | 0x80]);
-        n >>= 7;
-    }
-    sink.put(&[n as u8]);
-}
-
-fn put_str(sink: &mut impl KeySink, s: &str) {
-    put_len(sink, s.len());
-    sink.put(s.as_bytes());
 }
 
 /// Splits one batch line into `(create argv, mount half)`; `None` for
@@ -317,25 +212,25 @@ fn split_line(line: &str) -> Option<(Vec<String>, &str)> {
 mod tests {
     use super::*;
 
+    fn fnv(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
     #[test]
     fn fingerprint_matches_keyed_hash() {
         let q = ConfigQuery::parse_line("-b 1024 -O extent | data=journal").unwrap();
-        let direct = q.state_key().bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        });
-        assert_eq!(q.fingerprint(), direct);
+        assert_eq!(q.fingerprint(), fnv(&q.memo_key()));
     }
 
     #[test]
     fn tagged_fingerprint_matches_keyed_hash_too() {
-        // the fingerprint == FNV(state_key) invariant holds with the
-        // ecosystem prefix folded in
+        // the fingerprint == FNV(memo_key) invariant holds with the
+        // ecosystem tag folded in
         let q = ConfigQuery::parse_line_for(&ecosys::f2fs(), "-o 10 | discard").unwrap();
         assert!(q.state_key().starts_with("f2fs#"));
-        let direct = q.state_key().bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        });
-        assert_eq!(q.fingerprint(), direct);
+        assert_eq!(q.fingerprint(), fnv(&q.memo_key()));
     }
 
     #[test]
@@ -366,9 +261,8 @@ mod tests {
 
     #[test]
     fn untagged_identity_and_wire_format_are_the_pre_tag_bytes() {
-        // the single-ecosystem shape is pinned: no tag in the state
-        // key, the fingerprint is the plain FNV of the joined keys, and
-        // the wire format is exactly `{"configs": [...]}`
+        // the single-ecosystem shape is pinned: no tag in the display
+        // key, and the wire format is exactly `{"configs": [...]}`
         let q = ConfigQuery::parse_line("-b 1024 -O extent | data=journal").unwrap();
         assert!(q.ecosystem().is_none());
         assert!(!q.state_key().contains('#'));

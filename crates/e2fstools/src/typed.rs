@@ -1,17 +1,26 @@
-//! The typed configuration value model of the ecosystem layer.
+//! The typed configuration value model of the ecosystem layer, and the
+//! one identity of a configuration state.
 //!
 //! Every component parses its CLI surface into a [`TypedConfig`] — a
 //! canonical `parameter -> typed value` map — instead of each consumer
 //! re-interpreting raw argument strings. A `TypedConfig` is validated
 //! once against the [`crate::params::ParamSpec`] registry (see
-//! [`crate::component`]), rendered back to CLI arguments for round-trip
-//! testing, and keyed canonically so semantically equal configurations
-//! compare equal regardless of the argument order they were written in.
+//! [`crate::component`]) and rendered back to CLI arguments for
+//! round-trip testing.
+//!
+//! A whole configuration state — an optional ecosystem tag plus its
+//! component configs — has exactly one identity: [`state_key`], an
+//! injective byte encoding, and [`state_fingerprint`], FNV-1a of those
+//! bytes. Validation memo keys, fuzz and ConBugCk dedup and verdict
+//! store keys all go through them, so semantically equal
+//! configurations share one state regardless of argument order, and
+//! distinct ones never do. [`TypedConfig::canonical_key`] is a
+//! readable rendering for display only.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-use blockdev::fnv1a;
+use blockdev::{fnv1a, FNV_OFFSET_BASIS};
 use serde::{Deserialize, Serialize};
 
 use crate::params::{ParamSpec, ParamType};
@@ -40,8 +49,8 @@ impl fmt::Display for TypedValue {
 /// One component's configuration as typed values.
 ///
 /// The value map is a `BTreeMap`, so iteration (and therefore
-/// [`TypedConfig::canonical_key`]) is independent of insertion order —
-/// the property the ConBugCk state memoization relies on.
+/// [`state_key`]) is independent of insertion order — the property the
+/// state dedup relies on.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TypedConfig {
     /// The owning component (`mke2fs`, `mount`, ...).
@@ -147,94 +156,22 @@ impl TypedConfig {
         }
     }
 
-    /// A canonical identity string: component, then every parameter in
-    /// name order with its typed value, then the operands. Two configs
-    /// with the same parameters and operands produce the same key no
-    /// matter what order the CLI arguments arrived in.
+    /// A display string: component, then every parameter in name order
+    /// with its typed value, then the operands, e.g.
+    /// `mke2fs{blocksize=i:1024,label=s:x}[]`. Argument order does not
+    /// change it. It is **not** injective — a string value may spell
+    /// the separators (`-L x,uuid=s:y` renders like `-L x -U y`), and a
+    /// lone empty operand renders like none — so it must never key,
+    /// fingerprint or dedup a state; [`state_key`] does that.
     pub fn canonical_key(&self) -> String {
-        let mut key = String::new();
-        self.canonical_key_into(&mut key).expect("String formatting is infallible");
+        use std::fmt::Write as _;
+        let mut key = format!("{}{{", self.component);
+        for (i, (name, value)) in self.values.iter().enumerate() {
+            let sep = if i > 0 { "," } else { "" };
+            write!(key, "{sep}{name}={value}").expect("String formatting is infallible");
+        }
+        write!(key, "}}[{}]", self.operands.join(",")).expect("String formatting is infallible");
         key
-    }
-
-    /// Streams the canonical identity (see [`TypedConfig::canonical_key`])
-    /// into any [`std::fmt::Write`] sink — e.g. a hasher — without
-    /// allocating the key string.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from the sink.
-    pub fn canonical_key_into<W: std::fmt::Write>(&self, key: &mut W) -> std::fmt::Result {
-        key.write_str(&self.component)?;
-        key.write_char('{')?;
-        for (i, (name, value)) in self.values.iter().enumerate() {
-            if i > 0 {
-                key.write_char(',')?;
-            }
-            key.write_str(name)?;
-            key.write_char('=')?;
-            write!(key, "{value}")?;
-        }
-        key.write_char('}')?;
-        key.write_char('[')?;
-        for (i, op) in self.operands.iter().enumerate() {
-            if i > 0 {
-                key.write_char(',')?;
-            }
-            key.write_str(op)?;
-        }
-        key.write_char(']')
-    }
-
-    /// Folds the canonical identity's exact byte stream into an FNV-1a
-    /// state without going through the `fmt` machinery — the serving
-    /// hot path for fingerprinting queries. Always equals hashing
-    /// [`TypedConfig::canonical_key`]'s bytes into `hash` directly.
-    #[must_use]
-    #[inline]
-    pub fn canonical_fnv1a(&self, hash: u64) -> u64 {
-        #[inline]
-        fn fold_int(hash: u64, v: i64) -> u64 {
-            // decimal render into a stack buffer; i64::MIN-safe via i128
-            let mut buf = [0u8; 20];
-            let mut n = i128::from(v).unsigned_abs();
-            let mut at = buf.len();
-            loop {
-                at -= 1;
-                buf[at] = b'0' + (n % 10) as u8;
-                n /= 10;
-                if n == 0 {
-                    break;
-                }
-            }
-            if v < 0 {
-                at -= 1;
-                buf[at] = b'-';
-            }
-            fnv1a(hash, &buf[at..])
-        }
-        let mut hash = fnv1a(hash, self.component.as_bytes());
-        hash = fnv1a(hash, b"{");
-        for (i, (name, value)) in self.values.iter().enumerate() {
-            if i > 0 {
-                hash = fnv1a(hash, b",");
-            }
-            hash = fnv1a(hash, name.as_bytes());
-            hash = fnv1a(hash, b"=");
-            hash = match value {
-                TypedValue::Bool(b) => fnv1a(hash, if *b { b"b:true" } else { b"b:false" }),
-                TypedValue::Int(v) => fold_int(fnv1a(hash, b"i:"), *v),
-                TypedValue::Str(s) => fnv1a(fnv1a(hash, b"s:"), s.as_bytes()),
-            };
-        }
-        hash = fnv1a(hash, b"}[");
-        for (i, op) in self.operands.iter().enumerate() {
-            if i > 0 {
-                hash = fnv1a(hash, b",");
-            }
-            hash = fnv1a(hash, op.as_bytes());
-        }
-        fnv1a(hash, b"]")
     }
 
     /// Validates every value against the registry slice: the parameter
@@ -431,6 +368,128 @@ impl TypedConfig {
     }
 }
 
+/// The identity of a configuration state: an optional ecosystem tag,
+/// then every component config — its component, each `(name, typed
+/// value)` pair and its operands. Every variable-length field is
+/// length-prefixed and every variant tagged, so the bytes decode one
+/// way only: two states have equal keys exactly when their tags and
+/// configs are equal. Every state key, fingerprint, dedup key and
+/// store key in the workspace is this encoding.
+pub fn state_key(ecosystem: Option<&str>, configs: &[TypedConfig]) -> Box<[u8]> {
+    let mut key = Vec::new();
+    encode_state(&mut key, ecosystem, configs);
+    key.into_boxed_slice()
+}
+
+/// FNV-1a of [`state_key`]'s bytes, streamed over the encoding without
+/// building it.
+pub fn state_fingerprint(ecosystem: Option<&str>, configs: &[TypedConfig]) -> u64 {
+    let mut hash = FnvSink(FNV_OFFSET_BASIS);
+    encode_state(&mut hash, ecosystem, configs);
+    hash.0
+}
+
+/// Whether `key` is exactly [`state_key`]`(ecosystem, configs)`,
+/// decided by streaming the encoding against the stored bytes without
+/// allocating. A key that is only a prefix of the encoding, or extends
+/// it, does not match.
+pub fn matches_state_key(ecosystem: Option<&str>, configs: &[TypedConfig], key: &[u8]) -> bool {
+    let mut cursor = KeyCursor { rest: key, equal: true };
+    encode_state(&mut cursor, ecosystem, configs);
+    cursor.equal && cursor.rest.is_empty()
+}
+
+/// The one state encoder behind [`state_key`], [`state_fingerprint`]
+/// and [`matches_state_key`].
+fn encode_state(sink: &mut impl KeySink, ecosystem: Option<&str>, configs: &[TypedConfig]) {
+    match ecosystem {
+        None => sink.put(&[0]),
+        Some(eco) => {
+            sink.put(&[1]);
+            put_str(sink, eco);
+        }
+    }
+    put_len(sink, configs.len());
+    for cfg in configs {
+        put_str(sink, &cfg.component);
+        put_len(sink, cfg.values.len());
+        for (name, value) in &cfg.values {
+            put_str(sink, name);
+            match value {
+                TypedValue::Bool(b) => sink.put(&[u8::from(*b)]),
+                TypedValue::Int(i) => {
+                    sink.put(&[2]);
+                    sink.put(&i.to_le_bytes());
+                }
+                TypedValue::Str(v) => {
+                    sink.put(&[3]);
+                    put_str(sink, v);
+                }
+            }
+        }
+        put_len(sink, cfg.operands.len());
+        for op in &cfg.operands {
+            put_str(sink, op);
+        }
+    }
+}
+
+/// Where [`encode_state`] writes its bytes.
+trait KeySink {
+    fn put(&mut self, bytes: &[u8]);
+}
+
+/// Builds the key.
+impl KeySink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+/// Folds the key into an FNV-1a state.
+struct FnvSink(u64);
+
+impl KeySink for FnvSink {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 = fnv1a(self.0, bytes);
+    }
+}
+
+/// Compares the streamed encoding against stored key bytes: `equal`
+/// clears at the first differing byte, and `rest` is what the stream
+/// has not yet consumed.
+struct KeyCursor<'a> {
+    rest: &'a [u8],
+    equal: bool,
+}
+
+impl KeySink for KeyCursor<'_> {
+    fn put(&mut self, bytes: &[u8]) {
+        if !self.equal {
+            return;
+        }
+        match self.rest.strip_prefix(bytes) {
+            Some(rest) => self.rest = rest,
+            None => self.equal = false,
+        }
+    }
+}
+
+/// A length as an LEB128 varint: one byte below 128.
+fn put_len(sink: &mut impl KeySink, mut n: usize) {
+    while n >= 0x80 {
+        sink.put(&[(n as u8) | 0x80]);
+        n >>= 7;
+    }
+    sink.put(&[n as u8]);
+}
+
+fn put_str(sink: &mut impl KeySink, s: &str) {
+    put_len(sink, s.len());
+    sink.put(s.as_bytes());
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -450,9 +509,9 @@ mod tests {
     }
 
     #[test]
-    fn canonical_fnv1a_matches_keyed_bytes() {
-        let fnv = |seed: u64, s: &str| {
-            s.bytes().fold(seed, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+    fn state_fingerprint_is_fnv1a_of_state_key() {
+        let fnv = |seed: u64, bytes: &[u8]| {
+            bytes.iter().fold(seed, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
         };
         let mut cfg = TypedConfig::new("mke2fs");
         cfg.set_int("blocksize", 1024)
@@ -463,12 +522,29 @@ mod tests {
             .set_str("mode", "journal");
         cfg.operands.push("/dev/sda1".to_string());
         cfg.operands.push("4096".to_string());
+        let configs = [cfg, TypedConfig::new("mount")];
         let seed = 0xcbf2_9ce4_8422_2325;
-        assert_eq!(cfg.canonical_fnv1a(seed), fnv(seed, &cfg.canonical_key()));
-        // and from a non-default seed (mid-stream continuation)
-        assert_eq!(cfg.canonical_fnv1a(7), fnv(7, &cfg.canonical_key()));
-        let empty = TypedConfig::new("mount");
-        assert_eq!(empty.canonical_fnv1a(seed), fnv(seed, &empty.canonical_key()));
+        for eco in [None, Some("ext4")] {
+            let key = state_key(eco, &configs);
+            assert_eq!(state_fingerprint(eco, &configs), fnv(seed, &key));
+            assert!(matches_state_key(eco, &configs, &key));
+        }
+        assert_eq!(state_fingerprint(None, &[]), fnv(seed, &state_key(None, &[])));
+    }
+
+    #[test]
+    fn state_key_keeps_string_boundaries() {
+        // the same bytes split differently across adjacent strings are
+        // different states
+        let split = |ops: &[&str], label: &str| {
+            let mut cfg = TypedConfig::new("mke2fs");
+            cfg.set_str("label", label);
+            cfg.operands = ops.iter().map(|s| s.to_string()).collect();
+            state_key(None, &[cfg])
+        };
+        assert_ne!(split(&["ab", "c"], "x"), split(&["a", "bc"], "x"));
+        assert_ne!(split(&["ab"], "x"), split(&["a", "b"], "x"));
+        assert_ne!(state_key(Some("ab"), &[]), state_key(Some("a"), &[TypedConfig::new("b")]));
     }
 
     #[test]

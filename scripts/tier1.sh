@@ -12,8 +12,9 @@
 # checker layers ecosystem-agnostic, a grep lint keeping the
 # constraint evaluator single (relation and data-type strings are
 # decoded only where confdep lowers a dependency into its predicate),
-# and a grep lint keeping FNV-1a single (its constants live only in
-# blockdev's digest module).
+# a grep lint keeping FNV-1a single (its constants live only in
+# blockdev's digest module), and a grep lint keeping the state identity
+# single (every state key and fingerprint is e2fstools' one encoder).
 # The root manifest's default-members make `cargo test` cover every
 # crate; the gate fails if the executed test count drops below the
 # floor.
@@ -27,7 +28,7 @@ cargo test -q 2>&1 | tee target/tier1_tests.log
 python3 - <<'EOF'
 import re
 
-floor = 823
+floor = 826
 with open("target/tier1_tests.log") as f:
     passed = sum(int(n) for n in re.findall(r"test result: ok\. (\d+) passed", f.read()))
 assert passed >= floor, (
@@ -457,4 +458,52 @@ assert not failures, (
     "(call blockdev::fnv1a instead):\n" + "\n".join(failures)
 )
 print("single-FNV lint OK")
+EOF
+
+# Grep lint: one state identity. Every state key, fingerprint, dedup
+# key and store key is e2fstools' injective state encoding
+# (crates/e2fstools/src/typed.rs). Non-test code elsewhere may not
+# name the retired string hashers, and no fnv1a or ImageDigest::of_bytes
+# call may hash display-key text (`canonical_key`, `state_key()`, or a
+# `state_key(..)` string's bytes), which is not injective.
+python3 - <<'EOF'
+import glob
+import re
+
+allowed = "crates/e2fstools/src/typed.rs"
+retired = re.compile(r"\b(canonical_fnv1a|canonical_key_into|FnvWriter)\b")
+call = re.compile(r"\b(fnv1a|ImageDigest::of_bytes)\(")
+display = re.compile(r"canonical_key|state_key\(\)|state_key\([^()]*\)\.as_bytes")
+
+def code(path):
+    with open(path) as f:
+        src = f.read()
+    cut = src.find("#[cfg(test)]")
+    src = src if cut < 0 else src[:cut]
+    return "\n".join("" if l.strip().startswith("//") else l for l in src.splitlines())
+
+def call_args(src, start):
+    """The text between a call's parentheses, across lines."""
+    depth, i = 1, start
+    while i < len(src) and depth:
+        depth += {"(": 1, ")": -1}.get(src[i], 0)
+        i += 1
+    return src[start:i - 1]
+
+failures = []
+paths = glob.glob("crates/*/src/**/*.rs", recursive=True) + glob.glob("src/**/*.rs", recursive=True)
+for path in sorted(paths):
+    src = code(path)
+    if path != allowed:
+        for m in retired.finditer(src):
+            failures.append(f"{path}: retired state hasher {m.group(1)}")
+    for m in call.finditer(src):
+        args = call_args(src, m.end())
+        if display.search(args):
+            failures.append(f"{path}: {m.group(1)} over a display key: {' '.join(args.split())}")
+assert not failures, (
+    "state identity outside e2fstools' state encoding (use "
+    "e2fstools::typed::state_key / state_fingerprint):\n" + "\n".join(failures)
+)
+print("single-state-identity lint OK")
 EOF

@@ -24,7 +24,7 @@ use confdep_suite::faultsim::{conformance_sweep, CampaignOptions, CampaignReport
 
 const CRASHSIM_DIGEST: u64 = 0xc6bb_f480_3e2e_ea00;
 const FAULTSIM_DIGEST: u64 = 0xe89e_870f_6f41_8c0a;
-const FUZZ_DIGEST: u64 = 0x4471_b695_ff0a_9fc5;
+const FUZZ_DIGEST: u64 = 0xe3c6_e9ed_db5b_4224;
 const CONBUGCK_DIGEST: u64 = 0x9c05_7720_4bce_4889;
 
 /// An independent FNV-1a over text lines.

@@ -17,7 +17,9 @@ use std::collections::BTreeSet;
 use confdep_suite::confdep::{
     extract_scenario, models, ConstraintSet, ExtractOptions, Polarity, Solver, Verdict,
 };
-use confdep_suite::contools::fuzz::{fuzz_campaign, FuzzOptions, PolarityCoverage, Strategy};
+use confdep_suite::contools::fuzz::{
+    fuzz_campaign, FuzzOptions, Harness, PolarityCoverage, Strategy,
+};
 use confdep_suite::contools::ConBugCk;
 
 fn compiled() -> ConstraintSet {
@@ -141,8 +143,9 @@ fn solver_campaign_reaches_full_polarity_coverage() {
     let mut coverage = PolarityCoverage::new(&solver);
     let mut aware = ConBugCk::new(7).expect("generator initialises");
     let mut seen = BTreeSet::new();
+    let harness = Harness::ext4();
     for cfg in aware.generate(outcome.report.generated) {
-        if seen.insert(cfg.state_id()) {
+        if seen.insert(harness.state_id(&cfg)) {
             coverage.observe(&solver, &cfg);
         }
     }
