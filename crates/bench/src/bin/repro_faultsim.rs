@@ -20,7 +20,9 @@
 //! asserts zero `Panic` verdicts and full policy conformance, and
 //! writes the timings to `BENCH_faultsim.json` (`--out PATH` to
 //! redirect). `--smoke` shrinks the sampling caps for CI gates;
-//! `--threads N` pins the worker count (default: one per core).
+//! `--threads N` pins the worker count (default: one per core; a count
+//! above the host's cores is lowered to it). The JSON's `host` object
+//! records the cores, `rustc -V`, the git revision and any such clamp.
 
 use std::time::Instant;
 
@@ -112,6 +114,7 @@ struct BenchTotals {
 #[derive(Serialize)]
 struct BenchSummary {
     description: String,
+    host: bench::Host,
     smoke: bool,
     configs: usize,
     single: BenchConfig,
@@ -126,6 +129,11 @@ struct BenchSummary {
 }
 
 fn run_bench(smoke: bool, threads: usize, out: &str) {
+    let host = bench::Host::probe(threads);
+    if host.threads_clamped {
+        eprintln!("--threads {threads} exceeds the host's {} cores; using them all", host.cores);
+    }
+    let threads = host.threads;
     let reps = if smoke { 1 } else { 2 };
     let single_opts = CampaignOptions {
         threads: 1,
@@ -145,9 +153,7 @@ fn run_bench(smoke: bool, threads: usize, out: &str) {
         "  {:.1} ms / {} faults",
         single.wall_ms, single.faults_explored
     );
-    eprintln!("sweeping with the worker pool ({} threads, uncached)...", {
-        conpool::effective_threads(threads)
-    });
+    eprintln!("sweeping with the worker pool ({threads} threads, uncached)...");
     let (parallel, _, parallel_reports) = measure(&parallel_opts, reps);
     eprintln!("  {:.1} ms", parallel.wall_ms);
     eprintln!("sweeping with the worker pool + shared digest cache...");
@@ -184,6 +190,7 @@ fn run_bench(smoke: bool, threads: usize, out: &str) {
                       the classification worker pool, without and with image-digest recovery \
                       memoisation shared across the configuration grid"
             .to_string(),
+        host,
         smoke,
         configs: rows.len(),
         single,

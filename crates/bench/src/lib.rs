@@ -80,9 +80,78 @@ pub fn fp_cell(extracted: usize, fp: usize) -> String {
     }
 }
 
+/// The machine a benchmark ran on, recorded in its BENCH JSON so a
+/// timing is never read without its core count, toolchain and revision.
+#[derive(Debug, Clone, serde::Serialize)]
+pub struct Host {
+    /// Cores available to this process.
+    pub cores: usize,
+    /// `rustc -V` output ("unknown" when rustc is not on the path).
+    pub rustc: String,
+    /// `git rev-parse HEAD` of the working directory ("unknown" outside
+    /// a git work tree).
+    pub revision: String,
+    /// Worker count asked for on the command line (0 = one per core).
+    pub threads_requested: usize,
+    /// Worker count the benchmark actually used.
+    pub threads: usize,
+    /// The request exceeded the core count and was lowered to it.
+    pub threads_clamped: bool,
+}
+
+impl Host {
+    /// Probes the host and resolves `requested` workers against its
+    /// core count (see [`clamp_threads`]).
+    pub fn probe(requested: usize) -> Host {
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let threads = clamp_threads(requested, cores);
+        Host {
+            cores,
+            rustc: command_output("rustc", &["-V"]),
+            revision: command_output("git", &["rev-parse", "HEAD"]),
+            threads_requested: requested,
+            threads,
+            threads_clamped: requested > cores,
+        }
+    }
+}
+
+/// Resolves a requested worker count against `cores`: `0` means one
+/// per core, and a request above the core count is lowered to it — more
+/// workers than cores would only time-slice, not scale.
+pub fn clamp_threads(requested: usize, cores: usize) -> usize {
+    if requested == 0 {
+        cores
+    } else {
+        requested.min(cores)
+    }
+}
+
+fn command_output(program: &str, args: &[&str]) -> String {
+    std::process::Command::new(program)
+        .args(args)
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .map_or_else(
+            || "unknown".to_string(),
+            |out| String::from_utf8_lossy(&out.stdout).trim().to_string(),
+        )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn thread_requests_clamp_to_cores() {
+        assert_eq!(clamp_threads(0, 2), 2);
+        assert_eq!(clamp_threads(1, 2), 1);
+        assert_eq!(clamp_threads(4, 2), 2);
+        let host = Host::probe(usize::MAX);
+        assert!(host.threads_clamped);
+        assert_eq!(host.threads, host.cores);
+    }
 
     #[test]
     fn table_renders_aligned() {

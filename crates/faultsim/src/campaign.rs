@@ -14,20 +14,24 @@
 //!    `CorruptRead` per written block — subject to per-class sampling
 //!    caps that keep the endpoints (mirroring crashsim's
 //!    `prefix_points`).
-//! 3. **Re-execute.** Each schedule restarts the workload from the
-//!    pristine base image under a [`blockdev::FaultyDevice`], inside a
+//! 3. **Re-execute.** The pristine base image is built once per
+//!    campaign as a [`blockdev::CowDevice`]. Each schedule runs the
+//!    workload on a copy-on-write fork of it (a snapshot copies block
+//!    pointers, not data) under a [`blockdev::FaultyDevice`], inside a
 //!    `catch_unwind` harness, and records how the file system reacted
 //!    (typed error class, degraded/halted state, contract probes on a
-//!    degraded mount).
-//! 4. **Classify.** The post-fault medium is digested
-//!    ([`blockdev::ImageDigest`]); recovery — forced `e2fsck -y`, a
-//!    read-only remount, a durable-data audit — is memoised by that
-//!    digest in the caller's [`VerdictStore`], shared across the whole
-//!    campaign (and across configurations in a conformance sweep; a
-//!    store opened on a file carries verdicts across processes). Every
-//!    standard workload shares one durable-file contract, so the key is
-//!    the digest alone. The runtime observation and the recovery
-//!    outcome combine into a [`Verdict`].
+//!    degraded mount). A schedule pays only for the blocks it writes.
+//! 4. **Classify.** The post-fault fork's identity is its incremental
+//!    [`blockdev::ImageDigest`], kept current on every write, so no
+//!    schedule rescans the image. Recovery — forced `e2fsck -y`, a
+//!    read-only remount, a durable-data audit — runs on the fork itself
+//!    and is memoised by that digest in the caller's [`VerdictStore`],
+//!    shared across the whole campaign (and across configurations in a
+//!    conformance sweep; a store opened on a file carries verdicts
+//!    across processes). Every standard workload shares one
+//!    durable-file contract, so the key is the digest alone. The
+//!    runtime observation and the recovery outcome combine into a
+//!    [`Verdict`].
 //!
 //! Schedules run concurrently via [`conpool::parallel_map`] rather than
 //! the campaign driver [`conpool::map_unique`]: a schedule's
@@ -42,7 +46,7 @@ use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use blockdev::{
-    digest_device, BlockDevice, FaultPlan, FaultyDevice, IoEvent, MemDevice, RecordingDevice,
+    BlockDevice, CowDevice, FaultPlan, FaultyDevice, IoEvent, MemDevice, RecordingDevice,
     SharedDevice, VerdictStore,
 };
 use e2fstools::{E2fsck, FsckMode};
@@ -56,8 +60,9 @@ use crate::workload::{CampaignConfig, FaultWorkload};
 /// Exploration knobs.
 #[derive(Debug, Clone)]
 pub struct CampaignOptions {
-    /// Worker threads for schedule classification (see
-    /// [`conpool::effective_threads`]).
+    /// Worker threads, each running whole schedules: the faulted
+    /// workload, its digest and (on a store miss) recovery
+    /// classification (see [`conpool::effective_threads`]).
     pub threads: usize,
     /// Cap on sampled write points *per write-fault class*.
     pub write_points: usize,
@@ -241,7 +246,7 @@ fn err_class(e: &FsError) -> &'static str {
 /// inside the caller's `catch_unwind` harness.
 fn observe_run(
     workload: &FaultWorkload,
-    medium: SharedDevice<MemDevice>,
+    medium: SharedDevice<CowDevice>,
     plan: FaultPlan,
 ) -> RunObs {
     let cfg = &workload.config;
@@ -287,25 +292,12 @@ fn observe_run(
     obs
 }
 
-/// Byte-copies the current medium contents into a standalone image.
-fn snapshot(medium: &SharedDevice<MemDevice>) -> MemDevice {
-    medium.with_read(|dev| {
-        let bs = dev.block_size();
-        let n = dev.num_blocks();
-        let mut copy = MemDevice::new(bs, n);
-        let mut buf = vec![0u8; bs as usize];
-        for block in 0..n {
-            dev.read_block(block, &mut buf).expect("in-range read of in-memory image");
-            copy.write_block(block, &buf).expect("in-range write of in-memory image");
-        }
-        copy
-    })
-}
-
 /// Pushes a post-fault image through the full recovery stack: forced
 /// `e2fsck -y` (twice if the first pass left errors), a read-only
-/// remount, and a durable-data audit.
-fn classify_recovery(image: MemDevice, durable: &[(String, Vec<u8>)]) -> RecoveryOutcome {
+/// remount, and a durable-data audit. The image's identity must already
+/// have been taken: repair writes no longer maintain its digest.
+fn classify_recovery(mut image: CowDevice, durable: &[(String, Vec<u8>)]) -> RecoveryOutcome {
+    image.stop_digest_tracking();
     let result = catch_unwind(AssertUnwindSafe(|| {
         let mut exit;
         let dev = match E2fsck::with_mode(FsckMode::Fix).forced().run(image) {
@@ -427,32 +419,44 @@ fn combine(
     (Verdict::CleanError, detail)
 }
 
+/// Runs the workload under `spec` on a copy-on-write fork of `base` and
+/// returns the observation with the post-fault fork, or `None` when a
+/// Rust panic escaped the workload.
+fn run_on_fork(
+    workload: &FaultWorkload,
+    base: &CowDevice,
+    spec: &FaultSpec,
+) -> Option<(RunObs, CowDevice)> {
+    let medium = SharedDevice::new(base.snapshot());
+    let plan = FaultPlan::new().with(spec.to_fault());
+    let obs =
+        catch_unwind(AssertUnwindSafe(|| observe_run(workload, medium.clone(), plan))).ok()?;
+    // the FaultyDevice handle died with the run, so the fork is ours
+    let fork = medium.try_into_inner().unwrap_or_else(|m| m.with_read(CowDevice::snapshot));
+    Some((obs, fork))
+}
+
 fn run_one(
     workload: &FaultWorkload,
-    base: &MemDevice,
+    base: &CowDevice,
     spec: &FaultSpec,
     store: &VerdictStore<RecoveryOutcome>,
 ) -> FaultOutcome {
-    let medium = SharedDevice::new(base.clone());
-    let plan = FaultPlan::new().with(spec.to_fault());
-    let run = catch_unwind(AssertUnwindSafe(|| observe_run(workload, medium.clone(), plan)));
-    let obs = match run {
-        Ok(obs) => obs,
-        Err(_) => {
-            return FaultOutcome {
-                fault: spec.clone(),
-                verdict: Verdict::Panic,
-                detail: "rust panic escaped the workload".to_string(),
-            }
-        }
+    let Some((obs, fork)) = run_on_fork(workload, base, spec) else {
+        return FaultOutcome {
+            fault: spec.clone(),
+            verdict: Verdict::Panic,
+            detail: "rust panic escaped the workload".to_string(),
+        };
     };
-    // the FaultyDevice handle died with the run; the medium lives on
-    let digest = medium
-        .with_read(digest_device)
-        .expect("in-memory digest cannot fail");
-    let rec = store.get_or_compute((digest, 0), || {
-        classify_recovery(snapshot(&medium), &workload.durable_files)
-    });
+    let digest = fork.digest().expect("a fresh fork tracks its digest");
+    debug_assert_eq!(
+        blockdev::digest_device(&fork).ok(),
+        Some(digest),
+        "the fork's incremental digest must match a full rescan ({spec:?})"
+    );
+    let rec =
+        store.get_or_compute((digest, 0), || classify_recovery(fork, &workload.durable_files));
     let (verdict, detail) = combine(spec, &obs, &rec, workload.config.errors);
     FaultOutcome { fault: spec.clone(), verdict, detail }
 }
@@ -469,8 +473,10 @@ pub fn run_campaign(
     opts: &CampaignOptions,
     store: &VerdictStore<RecoveryOutcome>,
 ) -> Result<CampaignReport, FsError> {
-    let base = workload.setup()?;
-    let universe = probe_universe(workload, &base)?;
+    let setup = workload.setup()?;
+    let universe = probe_universe(workload, &setup)?;
+    let base = CowDevice::from_device(&setup)?;
+    drop(setup);
     let specs = enumerate_schedules(&universe, opts);
     let hits_before = store.hits();
     let misses_before = store.misses();
@@ -558,6 +564,35 @@ mod tests {
         assert_eq!(warm.stats.digest_cache_misses, 0, "warm rerun re-classified an image");
         assert_eq!(warm.canonical_signature(), cold.canonical_signature());
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn fork_digest_is_the_post_fault_image_identity() {
+        for journal in [true, false] {
+            let config = CampaignConfig { journal, ..CampaignConfig::default() };
+            let w = FaultWorkload::standard(config);
+            let setup = w.setup().unwrap();
+            let universe = probe_universe(&w, &setup).unwrap();
+            let base = CowDevice::from_device(&setup).unwrap();
+            let base_digest = base.digest().unwrap();
+            assert_eq!(base_digest, blockdev::digest_device(&setup).unwrap());
+            let specs = enumerate_schedules(&universe, &CampaignOptions::smoke());
+            assert!(!specs.is_empty());
+            for spec in &specs {
+                let (_, fork) = run_on_fork(&w, &base, spec).unwrap();
+                assert_eq!(
+                    fork.digest(),
+                    Some(blockdev::digest_device(&fork).unwrap()),
+                    "journal={journal} {spec:?}"
+                );
+                // the fork's writes never reach the shared base
+                assert_eq!(
+                    blockdev::digest_device(&base).unwrap(),
+                    base_digest,
+                    "journal={journal} {spec:?}"
+                );
+            }
+        }
     }
 
     #[test]

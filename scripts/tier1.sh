@@ -13,8 +13,10 @@
 # constraint evaluator single (relation and data-type strings are
 # decoded only where confdep lowers a dependency into its predicate),
 # a grep lint keeping FNV-1a single (its constants live only in
-# blockdev's digest module), and a grep lint keeping the state identity
-# single (every state key and fingerprint is e2fstools' one encoder).
+# blockdev's digest module), a grep lint keeping the state identity
+# single (every state key and fingerprint is e2fstools' one encoder),
+# and a grep lint keeping the fault sweep on copy-on-write forks (no
+# whole-image rescan or byte copy per schedule).
 # The root manifest's default-members make `cargo test` cover every
 # crate; the gate fails if the executed test count drops below the
 # floor.
@@ -28,7 +30,7 @@ cargo test -q 2>&1 | tee target/tier1_tests.log
 python3 - <<'EOF'
 import re
 
-floor = 826
+floor = 828
 with open("target/tier1_tests.log") as f:
     passed = sum(int(n) for n in re.findall(r"test result: ok\. (\d+) passed", f.read()))
 assert passed >= floor, (
@@ -506,4 +508,49 @@ assert not failures, (
     "e2fstools::typed::state_key / state_fingerprint):\n" + "\n".join(failures)
 )
 print("single-state-identity lint OK")
+EOF
+
+# Grep lint: the fault sweep runs every schedule on a copy-on-write fork
+# of one shared base and keys it by the fork's incremental digest. So
+# non-test code in crates/faultsim/src may name digest_device only
+# inside a debug_assert (the key-identity guard), and may not define a
+# `fn snapshot` that byte-copies the medium.
+python3 - <<'EOF'
+import glob
+import re
+
+def code(path):
+    with open(path) as f:
+        src = f.read()
+    cut = src.find("#[cfg(test)]")
+    src = src if cut < 0 else src[:cut]
+    return "\n".join("" if l.strip().startswith("//") else l for l in src.splitlines())
+
+def macro_spans(src, name):
+    """(start, end) of every `name!(...)` invocation, across lines."""
+    spans = []
+    for m in re.finditer(rf"\b{name}\w*!\(", src):
+        depth, i = 1, m.end()
+        while i < len(src) and depth:
+            depth += {"(": 1, ")": -1}.get(src[i], 0)
+            i += 1
+        spans.append((m.start(), i))
+    return spans
+
+failures = []
+for path in sorted(glob.glob("crates/faultsim/src/**/*.rs", recursive=True)):
+    src = code(path)
+    guarded = macro_spans(src, "debug_assert")
+    for m in re.finditer(r"\bdigest_device\b", src):
+        if not any(a <= m.start() < b for a, b in guarded):
+            line = src.count("\n", 0, m.start()) + 1
+            failures.append(f"{path}:{line}: whole-image digest_device outside a debug_assert")
+    for m in re.finditer(r"\bfn\s+snapshot\b", src):
+        line = src.count("\n", 0, m.start()) + 1
+        failures.append(f"{path}:{line}: fn snapshot (fork the CowDevice base instead)")
+assert not failures, (
+    "fault schedules must run on CowDevice forks keyed by their incremental "
+    "digest (CowDevice::snapshot / CowDevice::digest):\n" + "\n".join(failures)
+)
+print("copy-on-write fault sweep lint OK")
 EOF
