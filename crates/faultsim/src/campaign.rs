@@ -431,8 +431,7 @@ fn run_on_fork(
     let plan = FaultPlan::new().with(spec.to_fault());
     let obs =
         catch_unwind(AssertUnwindSafe(|| observe_run(workload, medium.clone(), plan))).ok()?;
-    // the FaultyDevice handle died with the run, so the fork is ours
-    let fork = medium.try_into_inner().unwrap_or_else(|m| m.with_read(CowDevice::snapshot));
+    let fork = medium.try_into_inner().expect("the run's device handle died with its mount");
     Some((obs, fork))
 }
 
