@@ -3,7 +3,7 @@
 //! corruption (a stale `free_blocks_count` after a buggy `resize2fs`
 //! expansion).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use blockdev::BlockDevice;
 
@@ -186,8 +186,9 @@ pub fn check_image<D: BlockDevice>(fs: &Ext4Fs<D>) -> Result<CheckReport, FsErro
         report.inconsistencies.push(Inconsistency { pass: 0, kind: InconsistencyKind::ErrorFlagSet });
     }
 
-    // pass 1: inodes and block ownership
-    let mut claimed: BTreeMap<u64, u32> = BTreeMap::new();
+    // pass 1: inodes and block ownership. `claimed` is only probed and
+    // inserted, so its order does not reach the report.
+    let mut claimed: HashMap<u64, u32> = HashMap::new();
     let mut allocated_inodes: Vec<u32> = Vec::new();
     for g in 0..l.group_count() {
         let ibm = fs.read_inode_bitmap(g)?;
@@ -220,16 +221,19 @@ pub fn check_image<D: BlockDevice>(fs: &Ext4Fs<D>) -> Result<CheckReport, FsErro
         }
     }
 
-    // pass 2: directory structure; pass 3: connectivity; pass 4: link counts
+    // pass 2: directory structure; pass 3: connectivity; pass 4: link
+    // counts. The findings follow `allocated_inodes` and the directory
+    // walk; the sets only answer membership.
+    let allocated: HashSet<u32> = allocated_inodes.iter().copied().collect();
     let mut link_counts: BTreeMap<u32, u16> = BTreeMap::new();
-    let mut reachable: Vec<u32> = Vec::new();
+    let mut reachable: HashSet<u32> = HashSet::new();
     let mut stack = vec![ROOT_INODE.0];
-    let mut visited: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
+    let mut visited: BTreeSet<u32> = BTreeSet::new();
     while let Some(dir) = stack.pop() {
         if !visited.insert(dir) {
             continue;
         }
-        reachable.push(dir);
+        reachable.insert(dir);
         let entries = match fs.readdir(InodeNo(dir)) {
             Ok(e) => e,
             Err(FsError::Corrupt(_)) | Err(FsError::NotADirectory(_)) => continue,
@@ -240,7 +244,7 @@ pub fn check_image<D: BlockDevice>(fs: &Ext4Fs<D>) -> Result<CheckReport, FsErro
             if e.name == "." || e.name == ".." {
                 continue;
             }
-            if e.inode == 0 || e.inode > sb.inodes_count || !allocated_inodes.contains(&e.inode) {
+            if e.inode == 0 || e.inode > sb.inodes_count || !allocated.contains(&e.inode) {
                 report.inconsistencies.push(Inconsistency {
                     pass: 2,
                     kind: InconsistencyKind::DanglingDirent { dir, name: e.name.clone(), target: e.inode },
@@ -251,7 +255,7 @@ pub fn check_image<D: BlockDevice>(fs: &Ext4Fs<D>) -> Result<CheckReport, FsErro
             if child.is_dir() {
                 stack.push(e.inode);
             } else {
-                reachable.push(e.inode);
+                reachable.insert(e.inode);
             }
         }
     }

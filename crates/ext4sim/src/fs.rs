@@ -75,6 +75,18 @@ pub struct Ext4Fs<D> {
     pending_ops: u32,
 }
 
+/// A file's block map decoded once (see [`Ext4Fs::block_map`]), so a
+/// run of lookups or appends does not decode the inode's map, or read
+/// its mapping block, once per block.
+#[derive(Debug)]
+enum BlockMap {
+    /// The extent tree, and the leaf block it spilled to, if any.
+    Extents { tree: ExtentTree, leaf: Option<u64> },
+    /// The legacy direct/indirect map; the single-indirect block's
+    /// bytes once read or written.
+    Legacy { indirect: Option<Vec<u8>> },
+}
+
 // ---------------------------------------------------------------------
 // byte-granular device access (the superblock sits at byte 1024 no matter
 // the block size)
@@ -398,10 +410,14 @@ impl<D: BlockDevice> Ext4Fs<D> {
         };
         let mut jino = Inode::new_file(self.uses_extent_feature());
         jino.mode = mode::S_IFREG | 0o600;
+        let mut map = self.block_map(&jino)?;
+        // next-fit: nothing is freed while the journal is built, so every
+        // bit below a group's cursor stays set
+        let mut cursor = vec![0u32; self.groups.len()];
         let mut allocated = 0u32;
         let mut logical = 0u32;
         while allocated < journal_blocks {
-            let block = match self.alloc_block(0) {
+            let block = match self.alloc_block_next_fit(0, &mut cursor) {
                 Ok(b) => b,
                 Err(FsError::NoSpace) if allocated > 0 => break,
                 Err(e) => return Err(e),
@@ -409,7 +425,7 @@ impl<D: BlockDevice> Ext4Fs<D> {
             // map every block of the cluster so adjacent clusters merge
             // into one extent
             for i in 0..self.layout.cluster_ratio {
-                self.set_file_block(&mut jino, logical + i, block + u64::from(i))?;
+                self.map_append(&mut jino, &mut map, logical + i, block + u64::from(i))?;
             }
             allocated += self.layout.cluster_ratio;
             logical += self.layout.cluster_ratio;
@@ -1024,10 +1040,13 @@ impl<D: BlockDevice> Ext4Fs<D> {
         }
         let nblocks = div_ceil(jino.size, u64::from(self.layout.block_size)) as u32;
         let mut blocks = Vec::with_capacity(nblocks as usize);
-        for logical in 0..nblocks {
-            match self.file_block(&jino, logical)? {
-                Some(b) => blocks.push(b),
-                None => break,
+        if !jino.is_inline() && !is_fast_symlink(&jino) {
+            let mut map = self.block_map(&jino)?;
+            for logical in 0..nblocks {
+                match self.map_lookup(&jino, &mut map, logical)? {
+                    Some(b) => blocks.push(b),
+                    None => break,
+                }
             }
         }
         if blocks.len() < 4 {
@@ -1408,13 +1427,26 @@ impl<D: BlockDevice> Ext4Fs<D> {
     ///
     /// Returns [`FsError::NoSpace`] when every group is full.
     pub fn alloc_block(&mut self, goal_group: u32) -> Result<u64, FsError> {
+        self.alloc_block_next_fit(goal_group, &mut [])
+    }
+
+    /// [`Ext4Fs::alloc_block`] that scans group `g`'s bitmap from
+    /// `cursor[g]` (from bit 0 for a group the slice does not cover) and
+    /// moves the cursor past the cluster it takes. The caller keeps every
+    /// bit below a cursor set, so the cluster chosen is the one a scan
+    /// from bit 0 would choose.
+    fn alloc_block_next_fit(&mut self, goal_group: u32, cursor: &mut [u32]) -> Result<u64, FsError> {
         self.check_writable()?;
         let g = pick_group_for_block(&self.groups, goal_group).ok_or(FsError::NoSpace)?;
+        let from = cursor.get(g as usize).copied().unwrap_or(0);
         let idx = self.update_block_bitmap(g, |bm| {
-            let idx = bm.find_clear_from(0).ok_or(FsError::NoSpace)?;
+            let idx = bm.find_clear_from(from).ok_or(FsError::NoSpace)?;
             bm.set(idx);
             Ok(idx)
         })?;
+        if let Some(c) = cursor.get_mut(g as usize) {
+            *c = idx + 1;
+        }
         let ratio = self.layout.cluster_ratio;
         self.groups[g as usize].free_blocks_count -= ratio;
         self.sb.free_blocks_count -= u64::from(ratio);
@@ -1517,17 +1549,20 @@ impl<D: BlockDevice> Ext4Fs<D> {
         }
     }
 
+    /// Encodes `tree` into `inode`, spilling to (or releasing) a leaf
+    /// block as its size requires; returns the leaf block now in use.
     fn store_extent_tree(
         &mut self,
         inode: &mut Inode,
         tree: &ExtentTree,
         leaf_block: Option<u64>,
-    ) -> Result<(), FsError> {
+    ) -> Result<Option<u64>, FsError> {
         if tree.fits_inline() {
             tree.encode_inline(&mut inode.block_area);
             if let Some(lb) = leaf_block {
                 self.free_block(lb)?;
             }
+            Ok(None)
         } else {
             if tree.len() > ExtentTree::leaf_capacity(self.layout.block_size) {
                 return Err(FsError::Corrupt(format!(
@@ -1541,8 +1576,100 @@ impl<D: BlockDevice> Ext4Fs<D> {
             };
             let leaf = tree.encode_root_with_leaf(&mut inode.block_area, lb, self.layout.block_size);
             self.dev.write_block(lb, &leaf)?;
+            Ok(Some(lb))
         }
-        Ok(())
+    }
+
+    /// Decodes `inode`'s block map once, for lookups and appends that
+    /// then work in memory. A legacy map's indirect block is read on
+    /// first use, not here.
+    fn block_map(&self, inode: &Inode) -> Result<BlockMap, FsError> {
+        if inode.uses_extents() {
+            let (tree, leaf) = self.load_extent_tree(inode)?;
+            Ok(BlockMap::Extents { tree, leaf })
+        } else {
+            Ok(BlockMap::Legacy { indirect: None })
+        }
+    }
+
+    /// [`Ext4Fs::file_block`] on a map from [`Ext4Fs::block_map`].
+    fn map_lookup(
+        &self,
+        inode: &Inode,
+        map: &mut BlockMap,
+        logical: u32,
+    ) -> Result<Option<u64>, FsError> {
+        match map {
+            BlockMap::Extents { tree, .. } => Ok(tree.map(logical)),
+            BlockMap::Legacy { indirect } => {
+                // legacy map: 12 direct pointers + one single-indirect block
+                if (logical as usize) < DIRECT_BLOCKS {
+                    let v = get_u32(&inode.block_area, logical as usize * 4);
+                    return Ok(if v == 0 { None } else { Some(u64::from(v)) });
+                }
+                let ind = get_u32(&inode.block_area, DIRECT_BLOCKS * 4);
+                if ind == 0 {
+                    return Ok(None);
+                }
+                let per = self.layout.block_size / 4;
+                let idx = logical - DIRECT_BLOCKS as u32;
+                if idx >= per {
+                    return Ok(None); // beyond single-indirect capacity
+                }
+                let data = match indirect {
+                    Some(data) => data,
+                    None => indirect.insert(self.dev.read_block_vec(u64::from(ind))?),
+                };
+                let v = get_u32(data, idx as usize * 4);
+                Ok(if v == 0 { None } else { Some(u64::from(v)) })
+            }
+        }
+    }
+
+    /// [`Ext4Fs::set_file_block`] on a map from [`Ext4Fs::block_map`]:
+    /// the map is updated in memory and stored after every append, so
+    /// the device sees the same writes as a fresh decode per block.
+    fn map_append(
+        &mut self,
+        inode: &mut Inode,
+        map: &mut BlockMap,
+        logical: u32,
+        block: u64,
+    ) -> Result<(), FsError> {
+        match map {
+            BlockMap::Extents { tree, leaf } => {
+                tree.append(logical, block)?;
+                *leaf = self.store_extent_tree(inode, tree, *leaf)?;
+                Ok(())
+            }
+            BlockMap::Legacy { indirect } => {
+                if (logical as usize) < DIRECT_BLOCKS {
+                    put_u32(&mut inode.block_area, logical as usize * 4, block as u32);
+                    return Ok(());
+                }
+                let per = self.layout.block_size / 4;
+                let idx = logical - DIRECT_BLOCKS as u32;
+                if idx >= per {
+                    return Err(FsError::NoSpace); // file exceeds legacy map capacity
+                }
+                let mut ind = get_u32(&inode.block_area, DIRECT_BLOCKS * 4);
+                if ind == 0 {
+                    let nb = self.alloc_block(0)?;
+                    let zero = vec![0u8; self.layout.block_size as usize];
+                    self.dev.write_block(nb, &zero)?;
+                    put_u32(&mut inode.block_area, DIRECT_BLOCKS * 4, nb as u32);
+                    ind = nb as u32;
+                    *indirect = Some(zero);
+                }
+                let data = match indirect {
+                    Some(data) => data,
+                    None => indirect.insert(self.dev.read_block_vec(u64::from(ind))?),
+                };
+                put_u32(data, idx as usize * 4, block as u32);
+                self.dev.write_block(u64::from(ind), data)?;
+                Ok(())
+            }
+        }
     }
 
     /// Maps a file-logical block to a device block, if allocated.
@@ -1554,59 +1681,13 @@ impl<D: BlockDevice> Ext4Fs<D> {
         if inode.is_inline() || is_fast_symlink(inode) {
             return Ok(None);
         }
-        if inode.uses_extents() {
-            let (tree, _) = self.load_extent_tree(inode)?;
-            Ok(tree.map(logical))
-        } else {
-            // legacy map: 12 direct pointers + one single-indirect block
-            if (logical as usize) < DIRECT_BLOCKS {
-                let v = get_u32(&inode.block_area, logical as usize * 4);
-                Ok(if v == 0 { None } else { Some(u64::from(v)) })
-            } else {
-                let ind = get_u32(&inode.block_area, DIRECT_BLOCKS * 4);
-                if ind == 0 {
-                    return Ok(None);
-                }
-                let per = self.layout.block_size / 4;
-                let idx = logical - DIRECT_BLOCKS as u32;
-                if idx >= per {
-                    return Ok(None); // beyond single-indirect capacity
-                }
-                let data = self.dev.read_block_vec(u64::from(ind))?;
-                let v = get_u32(&data, idx as usize * 4);
-                Ok(if v == 0 { None } else { Some(u64::from(v)) })
-            }
-        }
+        let mut map = self.block_map(inode)?;
+        self.map_lookup(inode, &mut map, logical)
     }
 
     fn set_file_block(&mut self, inode: &mut Inode, logical: u32, block: u64) -> Result<(), FsError> {
-        if inode.uses_extents() {
-            let (mut tree, leaf) = self.load_extent_tree(inode)?;
-            tree.append(logical, block)?;
-            self.store_extent_tree(inode, &tree, leaf)
-        } else {
-            if (logical as usize) < DIRECT_BLOCKS {
-                put_u32(&mut inode.block_area, logical as usize * 4, block as u32);
-                return Ok(());
-            }
-            let per = self.layout.block_size / 4;
-            let idx = logical - DIRECT_BLOCKS as u32;
-            if idx >= per {
-                return Err(FsError::NoSpace); // file exceeds legacy map capacity
-            }
-            let mut ind = get_u32(&inode.block_area, DIRECT_BLOCKS * 4);
-            if ind == 0 {
-                let nb = self.alloc_block(0)?;
-                let zero = vec![0u8; self.layout.block_size as usize];
-                self.dev.write_block(nb, &zero)?;
-                put_u32(&mut inode.block_area, DIRECT_BLOCKS * 4, nb as u32);
-                ind = nb as u32;
-            }
-            let mut data = self.dev.read_block_vec(u64::from(ind))?;
-            put_u32(&mut data, idx as usize * 4, block as u32);
-            self.dev.write_block(u64::from(ind), &data)?;
-            Ok(())
-        }
+        let mut map = self.block_map(inode)?;
+        self.map_append(inode, &mut map, logical, block)
     }
 
     /// Enumerates every data block of `inode`, including mapping blocks
