@@ -19,8 +19,9 @@
 //! policies — the cache buffers writes, it must never change what ends
 //! up on disk. The run **exits nonzero on any divergence** (image or
 //! campaign-verdict). Wall times keep the best of `reps` repetitions;
-//! the I/O counters are deterministic. Results go to `BENCH_fsops.json`
-//! (`--out PATH` to redirect); `--smoke` shrinks the run for CI gates.
+//! the I/O counters are deterministic. Results, with a `host` block
+//! (cores, toolchain, revision), go to `BENCH_fsops.json` (`--out PATH`
+//! to redirect); `--smoke` shrinks the run for CI gates.
 
 use std::time::Instant;
 
@@ -92,6 +93,7 @@ struct Totals {
 #[derive(Serialize)]
 struct BenchSummary {
     description: String,
+    host: bench::Host,
     smoke: bool,
     reps: usize,
     legs: Vec<Leg>,
@@ -303,6 +305,8 @@ fn compare(name: &str, reps: usize, run: impl Fn(CachePolicy) -> (IoStats, Strin
 }
 
 fn run_bench(smoke: bool, out: &str) {
+    // every leg runs on the calling thread
+    let host = bench::Host::probe(1);
     // best-of-N: the legs are deterministic, so repetitions only shave
     // scheduler noise — and the smoke gate asserts a wall speedup
     let reps = 5;
@@ -354,6 +358,7 @@ fn run_bench(smoke: bool, out: &str) {
                       inode-table blocks vs the write-through baseline, over format, journaled \
                       file cycles, online defrag and a ConBugCk campaign"
             .to_string(),
+        host,
         smoke,
         reps,
         legs,

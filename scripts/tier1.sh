@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 gate: build, full test suite, lint-clean under clippy, a
 # crash-exploration benchmark smoke (tiny trace, 2 threads), a
-# taint-analyzer benchmark smoke, an fs-substrate smoke, a
-# fault-injection conformance smoke, a constraint-fuzzing smoke
-# (solver polarity coverage plus the warm verdict store), and a
+# taint-analyzer benchmark smoke, an fs-substrate smoke (which also
+# checks the run's host block), a fault-injection conformance smoke, a
+# constraint-fuzzing smoke (solver polarity coverage plus the warm
+# verdict store), and a
 # validation-serving smoke (naive vs indexed vs memoized paths) — each
 # checking the BENCH JSON is well-formed and the racing engines (or
 # cache policies) agreed — plus a second-ecosystem (F2FS) smoke with a
@@ -30,7 +31,7 @@ cargo test -q 2>&1 | tee target/tier1_tests.log
 python3 - <<'EOF'
 import re
 
-floor = 828
+floor = 832
 with open("target/tier1_tests.log") as f:
     passed = sum(int(n) for n in re.findall(r"test result: ok\. (\d+) passed", f.read()))
 assert passed >= floor, (
@@ -109,6 +110,8 @@ import json
 with open("target/bench_fsops_smoke.json") as f:
     bench = json.load(f)
 assert bench["legs"], "fsops smoke produced no legs"
+host = bench["host"]
+assert host["cores"] >= 1 and host["threads"] == 1, f"fsops host block malformed: {host}"
 for leg in bench["legs"]:
     assert leg["identical"], f"cache policies diverged on {leg['name']}"
     for arm in ("baseline", "cached"):
