@@ -546,4 +546,18 @@ mod tests {
         };
         assert_eq!(execute(&cfg), RunDepth::Deep);
     }
+
+    #[test]
+    fn executor_survives_a_metadata_flush_past_one_journal_descriptor() {
+        // 16-block groups without sparse_super back up the superblock
+        // and descriptors in every group: the unmount's journalled
+        // flush lists more blocks than one descriptor block holds
+        let cfg = GeneratedConfig {
+            mkfs_args: ["-g", "16", "-b", "1024", "-O", "bigalloc,^sparse_super"]
+                .map(String::from)
+                .to_vec(),
+            mount_opts: "data=ordered".into(),
+        };
+        assert_eq!(execute(&cfg), RunDepth::RejectedMount);
+    }
 }

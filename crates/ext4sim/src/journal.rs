@@ -129,13 +129,17 @@ impl Journal {
     /// # Errors
     ///
     /// Returns [`FsError::NoSpace`] when the transaction does not fit
-    /// even in a freshly-reset journal, and device errors otherwise.
+    /// even in a freshly-reset journal or lists more blocks than one
+    /// descriptor block holds, and device errors otherwise.
     pub fn commit<D: BlockDevice>(&mut self, dev: &mut D, txn: &Transaction) -> Result<(), FsError> {
         if txn.is_empty() {
             return Ok(());
         }
         let needed = txn.len() as u32 + 2; // descriptor + data + commit
-        if needed > self.blocks.len() as u32 - 1 {
+        // the one descriptor block holds a 16-byte header and an 8-byte
+        // target per record, the layout replay reads back
+        let descriptor_full = 16 + txn.len() * 8 > self.block_size as usize;
+        if needed > self.blocks.len() as u32 - 1 || descriptor_full {
             return Err(FsError::NoSpace);
         }
         if needed > self.free_slots() {
@@ -307,6 +311,31 @@ mod tests {
         Journal::checkpoint(&mut dev, &txn, 512).unwrap();
         assert_eq!(dev.read_block_vec(5).unwrap(), vec![0xAA; 512]);
         assert_eq!(dev.read_block_vec(7).unwrap(), vec![0xBB; 512]);
+    }
+
+    #[test]
+    fn a_transaction_past_one_descriptor_block_is_refused() {
+        // 512-byte blocks: one descriptor lists (512 - 16) / 8 = 62 targets
+        let mut dev = MemDevice::new(512, 256);
+        let blocks: Vec<u64> = (100..240).collect();
+        Journal::format(&mut dev, &blocks, 512).unwrap();
+        let mut j = Journal::open(&dev, blocks.clone(), 512).unwrap();
+        let txn = |n: u64| {
+            let mut txn = Transaction::new();
+            for target in 0..n {
+                txn.add(target, vec![target as u8; 512]);
+            }
+            txn
+        };
+        let before = dev.clone();
+        assert!(matches!(j.commit(&mut dev, &txn(63)), Err(FsError::NoSpace)));
+        for b in 0..256 {
+            assert_eq!(dev.read_block_vec(b).unwrap(), before.read_block_vec(b).unwrap());
+        }
+        j.commit(&mut dev, &txn(62)).unwrap();
+        let mut j2 = Journal::open(&dev, blocks, 512).unwrap();
+        assert_eq!(j2.replay(&mut dev).unwrap(), 1);
+        assert_eq!(dev.read_block_vec(61).unwrap(), vec![61u8; 512]);
     }
 
     #[test]
