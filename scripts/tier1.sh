@@ -31,7 +31,7 @@ cargo test -q 2>&1 | tee target/tier1_tests.log
 python3 - <<'EOF'
 import re
 
-floor = 832
+floor = 842
 with open("target/tier1_tests.log") as f:
     passed = sum(int(n) for n in re.findall(r"test result: ok\. (\d+) passed", f.read()))
 assert passed >= floor, (
